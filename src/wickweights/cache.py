@@ -1,9 +1,11 @@
-"""Disk cache for expensive symbolic results (weight tables, trace moments).
+"""Disk cache for expensive symbolic results (weight tables, Gram products).
 
 Location: $WICKWEIGHTS_CACHE_DIR if set, else $XDG_CACHE_HOME/wickweights,
 else ~/.cache/wickweights.  Writes go through a temp file and an atomic
 rename so concurrent producers of the same value cannot leave a torn file.
 Entries are versioned; anything with a different schema version is ignored.
+A write that fails is logged as a warning and otherwise ignored: the cache
+only saves recomputation.
 """
 
 from __future__ import annotations
@@ -48,7 +50,10 @@ def store_json(name: str, payload) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump({"schema": SCHEMA_VERSION, "payload": payload}, fh)
         os.replace(tmp, path)
-    except OSError:
+    except OSError as exc:
+        import logging  # only a failed write needs it; importing costs start-up time
+
+        logging.getLogger("wickweights.cache").warning("could not write cache file %s: %s", path, exc)
         try:
             os.unlink(tmp)
         except OSError:

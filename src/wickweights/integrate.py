@@ -62,13 +62,13 @@ def integrate_gram_product(
     return out
 
 
-def weighted_trace_average(weight: WeightFunction, k: int, workers: int | None = None) -> RatFunc:
-    """<w * tr((M M+)^k)>_g, assembled from cached trace moments."""
+def weighted_trace_average(weight: WeightFunction, k: int) -> RatFunc:
+    """<w * tr((M M+)^k)>_g, assembled from closed trace moments."""
     out = RatFunc(0)
     for partition, coeff in weight.coefficients.items():
         if not coeff:
             continue
-        out = out + coeff * gaussian_trace_moment(weight.ensemble, [partition, (k,)], workers=workers)
+        out = out + coeff * gaussian_trace_moment(weight.ensemble, [partition, (k,)])
     return out
 
 
@@ -119,7 +119,7 @@ def weighted_connected_moment(weight: WeightFunction, k: int, workers: int | Non
                 if with_weight:
                     total = RatFunc(0)
                     for p, c in weight.coefficients.items():
-                        total = total + c * gaussian_trace_moment(ensemble, [p], workers=workers)
+                        total = total + c * gaussian_trace_moment(ensemble, [p])
                 hit = DeltaExpansion.unit(total)
             else:
                 src = weight if with_weight else unit_weight(ensemble)

@@ -46,7 +46,7 @@ class GramSystem:
         return all(self.matrix[i][j] == self.matrix[j][i] for i in range(n) for j in range(i))
 
 
-def build_gram_system(ensemble: Ensemble, kappa: int, workers: int | None = None) -> GramSystem:
+def build_gram_system(ensemble: Ensemble, kappa: int) -> GramSystem:
     """Gram matrix <I_k1 I_k2>_g over the canonical partition list, with the
     target values N^(number of parts) on the right-hand side.
 
@@ -57,7 +57,7 @@ def build_gram_system(ensemble: Ensemble, kappa: int, workers: int | None = None
         raise ValueError("kappa must be >= 1")
     parts = tuple(enumerate_partitions(kappa))
     matrix = tuple(
-        tuple(gaussian_trace_moment(ensemble, (p1, p2), workers=workers) for p2 in parts)
+        tuple(gaussian_trace_moment(ensemble, (p1, p2)) for p2 in parts)
         for p1 in parts
     )
     rhs = tuple(RatFunc.n_power(len(p)) for p in parts)
@@ -114,18 +114,12 @@ def _cache_name(ensemble: Ensemble, kappa: int) -> str:
     return f"weight_{ensemble.value}_k{kappa}.json"
 
 
-def solve_weight(
-    ensemble: Ensemble,
-    kappa: int,
-    workers: int | None = None,
-    use_disk: bool = True,
-) -> WeightFunction:
+def solve_weight(ensemble: Ensemble, kappa: int, use_disk: bool = True) -> WeightFunction:
     """Build and solve the defining system for w_kappa.
 
     A fresh solve verifies the residual of the defining conditions is
-    identically zero before returning.  Solved tables are stored on disk;
-    kappa = 4 needs Gram entries of total degree 16 (about 2 million
-    pairings each for real entries), so recomputing them is wasteful.
+    identically zero before returning.  Solved tables are stored on disk
+    and read back on later calls.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -133,7 +127,7 @@ def solve_weight(
         obj = cache.load_json(_cache_name(ensemble, kappa))
         if obj is not None:
             return WeightFunction.from_json(obj)
-    system = build_gram_system(ensemble, kappa, workers=workers)
+    system = build_gram_system(ensemble, kappa)
     solution = solve_linear_system(system.matrix, system.rhs)
     for row, b in zip(system.matrix, system.rhs):
         acc = RatFunc(0)

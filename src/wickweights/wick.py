@@ -16,14 +16,21 @@ Holomorphic pairs vanish for the complex ensembles, so their pairings are
 bijections between conjugated and unconjugated slots; real slots pair
 freely.
 
-A moment is a sum over pairings of products of the elementary contractions
-above, followed by contraction of all internal (summed) indices: every
-closed all-summed index loop yields one factor N.  The engine walks the
-pairing tree depth-first, carrying a union-find over index labels that it
-rolls back on backtracking, so the per-pairing cost is a handful of array
-operations.  At total degree 16-18 there are 15!! to 17!! pairings; they
-are streamed, never materialized, and the walk can be split over worker
-processes at the first branching level.
+Closed trace moments <prod_i tr((M M+)^{k_i})> come from the loop equation
+(Gaussian integration by parts), a recursion on the trace powers that
+enumerates no pairings; see Haagerup and Thorbjornsen, Expo. Math. 21
+(2003), for the complex case and Forrester, Rahman and Witte, J. Math.
+Phys. 58 (2017), for the real one.
+
+A moment with free or concrete indices is a sum over pairings of products
+of the elementary contractions above, followed by contraction of all
+internal (summed) indices: every closed all-summed index loop yields one
+factor N.  The engine walks the pairing tree depth-first, carrying a
+union-find over index labels that it rolls back on backtracking, so the
+per-pairing cost is a handful of array operations.  At total degree 16-18
+there are 15!! to 17!! pairings; they are streamed, never materialized,
+and the walk can be split over worker processes at the first branching
+level.
 
 Labels in a monomial are symbolic (str, a free index), concrete (int, a
 fixed matrix index) or internal summed tokens generated by the trace and
@@ -38,7 +45,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import cache
 from .algebra import Poly, RatFunc
 from .combinatorics import (
     DeltaStructure,
@@ -387,224 +393,13 @@ def _leaf_estimate(comp: _Comp) -> int:
     return est
 
 
-# -- closed kernel: every label is summed ------------------------------------------------
+# -- open kernel: pairing walk over entry monomials ----------------------------------------
 #
 # State: parent/size union-find without path compression (compression would
-# break rollback), a merge counter, and a trail of (child, parent) roots.
-# At a leaf the number of index loops is nv - merges, so the histogram is
-# indexed by the merge count.  The linked list nxt[] holds the unmatched
-# slots; the lowest one is always matched next, which makes the walk
-# deterministic and the tree minimal.
-
-
-def _closed_real(comp: _Comp, rest: list[int], parent: list[int], size: list[int],
-                 merges0: int, hist: list[int]) -> None:
-    rows, cols = comp.rows, comp.cols
-    n = len(comp.rows)
-    SEN = n
-    nxt = [0] * (n + 1)
-    for i in range(len(rest) - 1):
-        nxt[rest[i]] = rest[i + 1]
-    if rest:
-        nxt[rest[-1]] = SEN
-    tb = [0] * (comp.nv + 1)
-    ta = [0] * (comp.nv + 1)
-
-    # default-arg binding keeps the hot names in fast locals
-    def rec(h, remaining, mg, tp, rows=rows, cols=cols, parent=parent, size=size,
-            nxt=nxt, hist=hist, tb=tb, ta=ta, SEN=SEN):
-        h2 = nxt[h]
-        rh = rows[h]
-        ch = cols[h]
-        if remaining == 2:
-            p = h2
-            t0 = tp
-            a = rh
-            while parent[a] != a:
-                a = parent[a]
-            b = rows[p]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                tb[tp] = b
-                ta[tp] = a
-                tp += 1
-                mg += 1
-            a = ch
-            while parent[a] != a:
-                a = parent[a]
-            b = cols[p]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                tb[tp] = b
-                ta[tp] = a
-                tp += 1
-                mg += 1
-            hist[mg] += 1
-            while tp > t0:
-                tp -= 1
-                b = tb[tp]
-                parent[b] = b
-                size[ta[tp]] -= size[b]
-            return
-        q = -1
-        p = h2
-        while p != SEN:
-            np_ = nxt[p]
-            if q < 0:
-                newhead = np_
-            else:
-                nxt[q] = np_
-                newhead = h2
-            mg2 = mg
-            tp2 = tp
-            a = rh
-            while parent[a] != a:
-                a = parent[a]
-            b = rows[p]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                tb[tp2] = b
-                ta[tp2] = a
-                tp2 += 1
-                mg2 += 1
-            a = ch
-            while parent[a] != a:
-                a = parent[a]
-            b = cols[p]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                tb[tp2] = b
-                ta[tp2] = a
-                tp2 += 1
-                mg2 += 1
-            rec(newhead, remaining - 2, mg2, tp2)
-            while tp2 > tp:
-                tp2 -= 1
-                b = tb[tp2]
-                parent[b] = b
-                size[ta[tp2]] -= size[b]
-            if q >= 0:
-                nxt[q] = p
-            q = p
-            p = np_
-
-    if not rest:
-        hist[merges0] += 1
-        return
-    rec(rest[0], len(rest), merges0, 0)
-
-
-def _closed_bip(comp: _Comp, ai0: int, b_rest: list[int], parent: list[int], size: list[int],
-                merges0: int, hist: list[int]) -> None:
-    rows, cols = comp.rows, comp.cols
-    a_list = comp.a_list
-    two = comp.mode == 2
-    n = len(comp.rows)
-    SEN = n
-    nxt = [0] * (n + 1)
-    for i in range(len(b_rest) - 1):
-        nxt[b_rest[i]] = b_rest[i + 1]
-    if b_rest:
-        nxt[b_rest[-1]] = SEN
-    tb = [0] * (comp.nv + 1)
-    ta = [0] * (comp.nv + 1)
-    m = comp.m
-
-    def rec(i, h, mg, tp, rows=rows, cols=cols, parent=parent, size=size,
-            nxt=nxt, hist=hist, tb=tb, ta=ta, SEN=SEN, a_list=a_list, m=m, two=two):
-        s = a_list[i]
-        rh = rows[s]
-        ch = cols[s]
-        last = i + 1 == m
-        q = -1
-        p = h
-        while p != SEN:
-            np_ = nxt[p]
-            if q < 0:
-                newhead = np_
-            else:
-                nxt[q] = np_
-                newhead = h
-            for variant in (0, 1) if two else (0,):
-                if variant == 0:
-                    x1, x2 = rows[p], cols[p]
-                else:
-                    x1, x2 = cols[p], rows[p]
-                mg2 = mg
-                tp2 = tp
-                a = rh
-                while parent[a] != a:
-                    a = parent[a]
-                b = x1
-                while parent[b] != b:
-                    b = parent[b]
-                if a != b:
-                    if size[a] < size[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    size[a] += size[b]
-                    tb[tp2] = b
-                    ta[tp2] = a
-                    tp2 += 1
-                    mg2 += 1
-                a = ch
-                while parent[a] != a:
-                    a = parent[a]
-                b = x2
-                while parent[b] != b:
-                    b = parent[b]
-                if a != b:
-                    if size[a] < size[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    size[a] += size[b]
-                    tb[tp2] = b
-                    ta[tp2] = a
-                    tp2 += 1
-                    mg2 += 1
-                if last:
-                    hist[mg2] += 1
-                else:
-                    rec(i + 1, newhead, mg2, tp2)
-                while tp2 > tp:
-                    tp2 -= 1
-                    b = tb[tp2]
-                    parent[b] = b
-                    size[ta[tp2]] -= size[b]
-            if q >= 0:
-                nxt[q] = p
-            q = p
-            p = np_
-
-    if not b_rest:
-        hist[merges0] += 1
-        return
-    rec(ai0, b_rest[0], merges0, 0)
-
-
-# -- open kernel: free or concrete labels present ----------------------------------------
-#
-# Adds per-root bookkeeping: anch marks components containing a free or
+# break rollback) and a trail of merged roots to undo on backtracking.  The
+# linked list nxt[] holds the unmatched slots; the lowest one is always
+# matched next, which makes the walk deterministic and the tree minimal.
+# Per-root bookkeeping: anch marks components containing a free or
 # concrete label, val carries the concrete index a component is pinned to.
 # n_pure counts unanchored components (each worth a factor N at the leaf).
 # A merge of two distinct concrete values kills the whole subtree.
@@ -710,8 +505,7 @@ def _open_real(comp: _Comp, rest: list[int], st: _OpenState, counts: dict) -> No
         nxt[rest[-1]] = SEN
     fast = not comp.vals
 
-    # same union-find-with-trail idea as the closed kernel, plus anchor and
-    # concrete-value bookkeeping; n_pure rides along as a recursion argument
+    # n_pure rides along as a recursion argument
     # so rollback never has to restore it
     def rec(h, remaining, npure, rows=rows, cols=cols, parent=st.parent, size=st.size,
             anch=st.anch, val=st.val, trail=st.trail, nxt=nxt, SEN=SEN,
@@ -899,47 +693,6 @@ def _open_bip(comp: _Comp, ai0: int, b_rest: list[int], st: _OpenState, counts: 
 # -- dispatch and parallel splitting ------------------------------------------------------
 
 
-def _apply_prefix_closed(comp: _Comp, prefix, parent: list[int], size: list[int]) -> int:
-    merges = 0
-    rows, cols = comp.rows, comp.cols
-    for sa, sb, variant in prefix:
-        if variant == 0:
-            pairs = ((rows[sa], rows[sb]), (cols[sa], cols[sb]))
-        else:
-            pairs = ((rows[sa], cols[sb]), (cols[sa], rows[sb]))
-        for x, y in pairs:
-            a = x
-            while parent[a] != a:
-                a = parent[a]
-            b = y
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                merges += 1
-    return merges
-
-
-def _closed_task(args):
-    comp, prefix = args
-    comp = _Comp(*comp)
-    parent = list(range(comp.nv))
-    size = [1] * comp.nv
-    merges = _apply_prefix_closed(comp, prefix, parent, size)
-    hist = [0] * (comp.nv + 1)
-    used = {s for sa_sb_v in prefix for s in sa_sb_v[:2]}
-    if comp.mode == 0:
-        rest = [s for s in comp.a_list if s not in used]
-        _closed_real(comp, rest, parent, size, merges, hist)
-    else:
-        b_rest = [s for s in comp.b_list if s not in used]
-        _closed_bip(comp, len(prefix), b_rest, parent, size, merges, hist)
-    return hist
-
-
 def _canonical_root_counts(counts: dict, free_ids: tuple[int, ...]) -> dict:
     """Regroup raw leaf-root signatures into canonical block patterns."""
     out: dict = {}
@@ -1012,9 +765,11 @@ def _run_parallel(comp: _Comp, task, merge, init, workers: int):
 
     prefixes = _prefixes(comp)
     args = [(tuple(comp), p) for p in prefixes]
+    # never more processes than cores or tasks, whatever was asked for
+    size = min(workers, os.cpu_count() or 1, len(prefixes))
     try:
         ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(size) as pool:
             acc = init
             for part in pool.imap_unordered(task, args):
                 acc = merge(acc, part)
@@ -1026,20 +781,10 @@ def _run_parallel(comp: _Comp, task, merge, init, workers: int):
         return acc
 
 
-def _merge_hist(a: list[int], b: list[int]) -> list[int]:
-    return [x + y for x, y in zip(a, b)]
-
-
 def _merge_counts(a: dict, b: dict) -> dict:
     for k, v in b.items():
         a[k] = a.get(k, 0) + v
     return a
-
-
-def _sum_closed(comp: _Comp, workers: int) -> list[int]:
-    if workers > 1 and _leaf_estimate(comp) >= _PARALLEL_MIN_LEAVES:
-        return _run_parallel(comp, _closed_task, _merge_hist, [0] * (comp.nv + 1), workers)
-    return _closed_task((tuple(comp), []))
 
 
 def _sum_open(comp: _Comp, workers: int) -> dict:
@@ -1117,59 +862,63 @@ def gaussian_entry_moment(ensemble: Ensemble, monomial: MonomialSpec, workers: i
     return _slots_expansion(ensemble, monomial.slots, workers)
 
 
-_trace_memo: dict[tuple, RatFunc] = {}
+#: (ensemble, powers) -> numerator of every loop-equation state visited so far
+_trace_memo: dict[tuple, list[int]] = {}
 
 
-def trace_multiset_key(invariants: Iterable[Partition]) -> tuple[Partition, ...]:
-    return tuple(sorted((check_partition(p) for p in invariants), reverse=True))
+def _loop_numerator(ensemble: Ensemble, powers: tuple[int, ...]) -> list[int]:
+    """Ascending integer coefficients of d^m <prod_i tr W^{k_i}>, W = M M+.
+
+    powers holds the k_i >= 1 in decreasing order, m is their sum and d the
+    pair denominator.  Integration by parts on the entries of the largest
+    power k, with R the other traces and tr W^0 = N, gives the loop equation
+
+        d <tr W^k R> = sum_{j<k} <tr W^j tr W^{k-1-j} R> + t_k <tr W^{k-1} R>
+                       + sum_{tr W^l in R} c l <tr W^{k+l-1} (R without tr W^l)>
+
+    with (t_k, c) = (0, 1) unitary, (k-1, 2) orthogonal, (k, 2) COE.  Every
+    term on the right has total power m-1, so numerators simply add.
+    """
+    key = (ensemble, powers)
+    hit = _trace_memo.get(key)
+    if hit is not None:
+        return hit
+    if not powers:
+        return [1]
+    k, rest = powers[0], powers[1:]
+    c = 1 if ensemble is Ensemble.UNITARY else 2
+    t = {Ensemble.UNITARY: 0, Ensemble.ORTHOGONAL: k - 1, Ensemble.COE: k}[ensemble]
+    terms = [(1, (j, k - 1 - j) + rest) for j in range(k)]
+    terms.append((t, (k - 1,) + rest))
+    terms.extend((c * l, (k + l - 1,) + rest[:i] + rest[i + 1:]) for i, l in enumerate(rest))
+    out: list[int] = []
+    for coeff, sub in terms:
+        if not coeff:
+            continue
+        shift = sub.count(0)  # each tr W^0 is a factor N
+        num = _loop_numerator(ensemble, tuple(sorted((x for x in sub if x), reverse=True)))
+        out.extend([0] * (len(num) + shift - len(out)))
+        for e, x in enumerate(num, start=shift):
+            out[e] += coeff * x
+    _trace_memo[key] = out
+    return out
 
 
 def gaussian_trace_moment(
     ensemble: Ensemble,
     invariants: Iterable[Partition],
-    workers: int | None = None,
+    *,
     use_disk: bool = True,
 ) -> RatFunc:
-    """Exact <prod_i tr((M M+)^{k_i})>_g as a rational function of N.
+    """Exact <prod_i tr((M M+)^{k_i})>_g as a rational function of N, by the
+    loop equation (see _loop_numerator); memoized in memory.
 
-    Memoized in memory and, for the expensive high-degree entries, on disk
-    (same cache directory as the weight tables).
+    use_disk is accepted for older callers and ignored: trace moments are
+    no longer stored on disk.
     """
-    multiset = trace_multiset_key(invariants)
-    key = (ensemble.value, multiset)
-    hit = _trace_memo.get(key)
-    if hit is not None:
-        return hit
-    slug = "_".join(".".join(str(x) for x in p) for p in multiset) or "empty"
-    fname = f"trace_{ensemble.value}_{slug}.json"
-    if use_disk:
-        obj = cache.load_json(fname)
-        if obj is not None:
-            val = RatFunc.from_json(obj["value"])
-            _trace_memo[key] = val
-            return val
-    flat: Partition = tuple(sorted((x for p in multiset for x in p), reverse=True))
-    if not flat:
-        val = RatFunc(1)
-    else:
-        slots = invariant_slots(ensemble, flat, _FreshSummed())
-        # all labels summed: use the closed kernel
-        compiled = _compile(ensemble, slots)
-        if compiled is None:
-            val = RatFunc(0)
-        else:
-            comp, _ = compiled
-            hist = _sum_closed(comp, resolve_workers(workers))
-            powers: dict[int, int] = {}
-            for merges, c in enumerate(hist):
-                if c:
-                    p = comp.nv - merges
-                    powers[p] = powers.get(p, 0) + c
-            val = _ratfunc_from_powers(powers) / RatFunc(ensemble.pair_denominator ** comp.m)
-    _trace_memo[key] = val
-    if use_disk:
-        cache.store_json(fname, {"ensemble": ensemble.value, "invariants": [list(p) for p in multiset], "value": val.to_json()})
-    return val
+    powers = tuple(sorted((x for p in invariants for x in check_partition(p)), reverse=True))
+    num = _loop_numerator(ensemble, powers)
+    return RatFunc(Poly(num), ensemble.pair_denominator ** sum(powers))
 
 
 def moment_with_invariants(
@@ -1255,13 +1004,13 @@ def connected_entry_moment(ensemble: Ensemble, k: int, workers: int | None = Non
     return cumulants_from_moments(tuple(range(1, k + 1)), moment_fn)
 
 
-def connected_trace_moment(ensemble: Ensemble, invariants: Sequence[Partition], workers: int | None = None) -> RatFunc:
+def connected_trace_moment(ensemble: Ensemble, invariants: Sequence[Partition]) -> RatFunc:
     """Connected part of a product of trace invariants (scalar case)."""
     items = tuple(range(len(invariants)))
     parts = [check_partition(p) for p in invariants]
 
     def moment_fn(sub: tuple) -> DeltaExpansion:
-        val = gaussian_trace_moment(ensemble, [parts[i] for i in sub], workers=workers)
+        val = gaussian_trace_moment(ensemble, [parts[i] for i in sub])
         return DeltaExpansion.unit(val)
 
     return cumulants_from_moments(items, moment_fn).as_ratfunc()

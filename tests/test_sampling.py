@@ -47,6 +47,14 @@ def test_mc_reproducible():
     assert a.mean != c.mean
 
 
+@pytest.mark.parametrize("ens", [Ensemble.ORTHOGONAL, Ensemble.UNITARY])
+def test_mc_first_moment_vanishes(ens):
+    # <M[1,1]> = 0 by invariance.  Without the QR sign (phase) fix the
+    # sampler reads about -0.29 (-0.20 unitary), 80+ standard errors away.
+    est = mc_integrate(ens, MonomialSpec.parse("M[1,1]"), 8, 20_000, seed=13)
+    assert abs(est.mean) <= 5 * est.standard_error
+
+
 def test_mc_matches_second_moment():
     est = mc_integrate(Ensemble.ORTHOGONAL, MonomialSpec.parse("M[1,1] M[1,1]"), 8, 100_000, seed=5)
     assert abs(est.mean - 0.125) <= 5 * est.standard_error

@@ -1,3 +1,7 @@
+import json
+import math
+import os
+import pathlib
 import random
 from fractions import Fraction
 
@@ -21,11 +25,13 @@ from wickweights import (
     gaussian_trace_moment,
 )
 from wickweights.algebra import N, RatFunc
-from wickweights.combinatorics import set_partitions
+from wickweights.combinatorics import partitions_of, set_partitions
 from wickweights.wick import (
+    _FreshSummed,
     _slots_expansion,
     cumulants_from_moments,
     gram_product_slots,
+    invariant_slots,
     moment_with_invariants,
 )
 
@@ -226,14 +232,80 @@ def test_trace_moment_memoized_and_cached(tmp_path, monkeypatch):
     monkeypatch.setenv("WICKWEIGHTS_CACHE_DIR", str(tmp_path))
     from wickweights import wick
 
-    key = (Ensemble.ORTHOGONAL.value, ((2, 1),))
+    key = (Ensemble.ORTHOGONAL, (2, 1))
     wick._trace_memo.pop(key, None)
     a = gaussian_trace_moment(Ensemble.ORTHOGONAL, [(2, 1)])
     assert key in wick._trace_memo
-    wick._trace_memo.pop(key)
-    b = gaussian_trace_moment(Ensemble.ORTHOGONAL, [(2, 1)])  # disk hit
-    assert a == b
-    assert any(p.name.startswith("trace_orthogonal") for p in tmp_path.iterdir())
+    assert gaussian_trace_moment(Ensemble.ORTHOGONAL, [(2,), (1,)]) == a
+    assert not any(tmp_path.iterdir())  # trace moments never touch the disk
+
+
+TRACE_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "trace_moments.json"
+
+
+def test_trace_moment_fixture_recomputed(monkeypatch):
+    # values of the former pairing-sum engine, up to degree 16, recomputed cold
+    from wickweights import wick
+
+    monkeypatch.setattr(wick, "_trace_memo", {})
+    entries = json.loads(TRACE_FIXTURE.read_text())
+    assert len(entries) == 271
+    for e in entries:
+        got = gaussian_trace_moment(Ensemble(e["ensemble"]), [tuple(p) for p in e["invariants"]])
+        assert got == RatFunc.from_json(e["value"]), e
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_trace_moment_matches_open_kernel(ens):
+    for weight in range(1, 7):
+        for lam in partitions_of(weight):
+            open_sum = moment_with_invariants(ens, [], [lam]).as_ratfunc()
+            assert gaussian_trace_moment(ens, [lam]) == open_sum, lam
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_trace_moment_matches_reference_expansion(ens):
+    # every multiset of single traces up to degree 8, by the brute-force oracle
+    for weight in range(1, 5):
+        for powers in partitions_of(weight):
+            slots = invariant_slots(ens, powers, _FreshSummed())
+            expected = reference_expansion(ens, slots).as_ratfunc()
+            assert gaussian_trace_moment(ens, [(k,) for k in powers]) == expected, powers
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_trace_moment_degree_36(ens):
+    # 35!! pairings for real entries: out of reach of any pairing walk
+    got = gaussian_trace_moment(ens, [(6,), (6,), (6,)])
+    # at N=1 the matrix is one Gaussian: E x^36 = 35!! or E |z|^36 = 18!
+    scalar = math.prod(range(35, 0, -2)) if ens is Ensemble.ORTHOGONAL else math.factorial(18)
+    assert got.eval(1) == scalar
+    # leading order factorizes into three Catalan(6) = 132 planar terms
+    assert got.order() == -3
+    assert Fraction(got.num.lc, got.den.lc) == 132 ** 3
+
+
+def test_fork_pool_size_capped(monkeypatch):
+    import multiprocessing
+
+    from wickweights import wick
+
+    sizes = []
+
+    class NoPoolContext:
+        def Pool(self, size):
+            sizes.append(size)
+            raise OSError("no pool is started in this test")
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoPoolContext())
+    slots, _ = gram_product_slots(Ensemble.ORTHOGONAL, 2)
+    comp, _ = wick._compile(Ensemble.ORTHOGONAL, slots)
+    tasks = len(wick._prefixes(comp))
+    for cores, expected in ((64, tasks), (2, 2), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        got = wick._run_parallel(comp, wick._open_task, wick._merge_counts, {}, 10**9)
+        assert sizes[-1] == expected
+        assert got == wick._sum_open(comp, 1)
 
 
 # -- connected parts -----------------------------------------------------------------
