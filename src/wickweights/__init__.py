@@ -49,7 +49,18 @@ from .integrate import (
     integrate_monomial,
     weighted_connected_order,
 )
-from .sampling import McEstimate, cross_check, mc_integrate, sample_haar
+
+_SAMPLING = ("McEstimate", "cross_check", "mc_integrate", "sample_haar")
+
+
+def __getattr__(name: str):
+    # the Monte Carlo oracle needs numpy; import it only when asked for
+    if name in _SAMPLING:
+        from . import sampling
+
+        return getattr(sampling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "N", "Poly", "RatFunc", "PoleError", "SingularMatrixError",

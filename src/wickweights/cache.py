@@ -1,11 +1,12 @@
-"""Disk cache for expensive symbolic results (weight tables, Gram products).
+"""Disk cache for solved weight tables.
 
 Location: $WICKWEIGHTS_CACHE_DIR if set, else $XDG_CACHE_HOME/wickweights,
 else ~/.cache/wickweights.  Writes go through a temp file and an atomic
 rename so concurrent producers of the same value cannot leave a torn file.
 Entries are versioned; anything with a different schema version is ignored.
-A write that fails is logged as a warning and otherwise ignored: the cache
-only saves recomputation.
+A read or write that fails, even for want of a usable directory, is a
+miss; a failed write is logged as a warning.  The cache only saves
+recomputation.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ def cache_dir() -> Path:
 
 
 def load_json(name: str):
-    path = cache_dir() / name
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(cache_dir() / name, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, ValueError):
         return None
@@ -44,17 +44,19 @@ def load_json(name: str):
 
 
 def store_json(name: str, payload) -> None:
-    path = cache_dir() / name
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        path = cache_dir() / name
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump({"schema": SCHEMA_VERSION, "payload": payload}, fh)
         os.replace(tmp, path)
     except OSError as exc:
         import logging  # only a failed write needs it; importing costs start-up time
 
-        logging.getLogger("wickweights.cache").warning("could not write cache file %s: %s", path, exc)
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        logging.getLogger("wickweights.cache").warning("could not write cache file %s: %s", name, exc)
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass

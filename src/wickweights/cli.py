@@ -25,7 +25,6 @@ from . import cache, wick
 from .algebra import PoleError, RatFunc
 from .combinatorics import check_partition
 from .integrate import error_order, integrate_monomial
-from .sampling import cross_check, mc_integrate
 from .weights import solve_weight, verify_conditions
 from .wick import Ensemble, MonomialSpec, gaussian_trace_moment
 
@@ -64,8 +63,8 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
 def _warn_cost(kappa: int) -> None:
     if kappa > _COST_WARNING_KAPPA:
         print(
-            f"warning: kappa={kappa} needs Gram entries of total degree {4 * kappa}; "
-            "expect a long enumeration",
+            f"warning: kappa={kappa} needs an exact solve of a Gram system with entries "
+            f"of total degree {4 * kappa}; expect it to take long",
             file=sys.stderr,
         )
 
@@ -146,6 +145,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .sampling import cross_check, mc_integrate  # numpy loads only for sampling
+
     monomial = MonomialSpec.parse(args.monomial)
     monomial.validate(args.ensemble)
     if not monomial.is_concrete():

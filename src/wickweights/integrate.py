@@ -9,15 +9,14 @@ assume.
 
 from __future__ import annotations
 
-from . import cache
 from .algebra import RatFunc
-from .combinatorics import contract_deltas
 from .wick import (
     DeltaExpansion,
     MonomialSpec,
     cumulants_from_moments,
+    delta_product_target,
     gaussian_trace_moment,
-    gram_product_slots,
+    gram_product_moment,
 )
 from .weights import WeightFunction, unit_weight, weighted_moment
 
@@ -37,29 +36,16 @@ def integrate_monomial(
     return weighted_moment(weight, list(monomial.slots), workers=workers)
 
 
-def integrate_gram_product(
-    weight: WeightFunction,
-    k: int,
-    workers: int | None = None,
-    use_disk: bool = True,
-) -> DeltaExpansion:
+def integrate_gram_product(weight: WeightFunction, k: int) -> DeltaExpansion:
     """<w * (M M+)_(i1,l1) ... (M M+)_(ik,lk)>_g over distinct free labels.
 
-    Disk-cached like the weight tables: the order-4 expansions at k = 4, 5
-    walk 15!!-17!! pairings per invariant insertion.
+    Computed by invariance from closed trace moments (see
+    wick.gram_product_moment), so even the degree-18 products take well
+    under a second and nothing is stored on disk.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    name = f"gram_{weight.ensemble.value}_k{weight.kappa}_{k}.json"
-    if use_disk:
-        obj = cache.load_json(name)
-        if obj is not None:
-            return DeltaExpansion.from_json(obj)
-    slots, _ = gram_product_slots(weight.ensemble, k)
-    out = weighted_moment(weight, slots, workers=workers)
-    if use_disk:
-        cache.store_json(name, out.to_json())
-    return out
+    return gram_product_moment(weight.ensemble, weight.coefficients, k)
 
 
 def weighted_trace_average(weight: WeightFunction, k: int) -> RatFunc:
@@ -72,15 +58,7 @@ def weighted_trace_average(weight: WeightFunction, k: int) -> RatFunc:
     return out
 
 
-def delta_product_target(k: int) -> DeltaExpansion:
-    """The target-space value of the entrywise product: d(i1,l1)...d(ik,lk)."""
-    from .combinatorics import contract_deltas
-
-    structure, _ = contract_deltas([(f"i{v}", f"l{v}") for v in range(1, k + 1)], ())
-    return DeltaExpansion({structure: RatFunc(1)})
-
-
-def error_order(weight: WeightFunction, k: int, workers: int | None = None) -> int | None:
+def error_order(weight: WeightFunction, k: int) -> int | None:
     """Observed decay exponent of the entrywise deviation at degree 2k > 2*kappa.
 
     Computes <w (M M+)_(i1,l1)...(ik,lk)> minus the exact target-space value
@@ -92,16 +70,18 @@ def error_order(weight: WeightFunction, k: int, workers: int | None = None) -> i
     """
     if k <= weight.kappa:
         raise ValueError("error order is measured beyond the weight's exact range")
-    diff = integrate_gram_product(weight, k, workers=workers) - delta_product_target(k)
+    diff = integrate_gram_product(weight, k) - delta_product_target(k)
     return diff.min_order()
 
 
-def weighted_connected_moment(weight: WeightFunction, k: int, workers: int | None = None) -> DeltaExpansion:
+def weighted_connected_moment(weight: WeightFunction, k: int) -> DeltaExpansion:
     """Connected part of <w (M M+)_(i1,l1)...(ik,lk)>_g.
 
     The weight counts as one more factor in the block decomposition: the
     connected part is what remains after removing every splitting into two
-    or more complete contractions of entry blocks and/or the weight.
+    or more complete contractions of entry blocks and/or the weight.  The
+    canonical s-block moments are Gram products, computed by invariance and
+    memoized per call, not read from disk.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -110,7 +90,6 @@ def weighted_connected_moment(weight: WeightFunction, k: int, workers: int | Non
     weighted_by_size: dict[int, DeltaExpansion] = {}
 
     def canonical_moment(s: int, with_weight: bool) -> DeltaExpansion:
-        # canonical s-block moments are gram products, so they share that cache
         memo = weighted_by_size if with_weight else plain_by_size
         hit = memo.get(s)
         if hit is None:
@@ -123,7 +102,7 @@ def weighted_connected_moment(weight: WeightFunction, k: int, workers: int | Non
                 hit = DeltaExpansion.unit(total)
             else:
                 src = weight if with_weight else unit_weight(ensemble)
-                hit = integrate_gram_product(src, s, workers=workers)
+                hit = integrate_gram_product(src, s)
             memo[s] = hit
         return hit
 
@@ -140,7 +119,7 @@ def weighted_connected_moment(weight: WeightFunction, k: int, workers: int | Non
     return cumulants_from_moments(items, moment_fn)
 
 
-def weighted_connected_order(weight: WeightFunction, k: int, workers: int | None = None) -> int | None:
+def weighted_connected_order(weight: WeightFunction, k: int) -> int | None:
     """Minimum decay exponent over the connected part's coefficients.
 
     For k = 1 the connected part vanishes identically (returns None); for
@@ -149,4 +128,4 @@ def weighted_connected_order(weight: WeightFunction, k: int, workers: int | None
     """
     if not 1 <= k <= weight.kappa:
         raise ValueError("k must lie in 1..kappa")
-    return weighted_connected_moment(weight, k, workers=workers).min_order()
+    return weighted_connected_moment(weight, k).min_order()

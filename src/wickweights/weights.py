@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 
 from . import cache
 from .algebra import RatFunc, solve_linear_system
-from .combinatorics import Partition, contract_deltas, enumerate_partitions
+from .combinatorics import Partition, enumerate_partitions
 from .wick import (
     DeltaExpansion,
     Ensemble,
     Slot,
+    delta_product_target,
     gaussian_trace_moment,
-    gram_product_slots,
+    gram_product_moment,
     moment_with_invariants,
 )
 
@@ -170,13 +171,16 @@ class ConditionReport:
         return s
 
 
-def verify_conditions(weight: WeightFunction, k: int, workers: int | None = None) -> ConditionReport:
-    """Symbolically check the order-k defining condition of the weight."""
+def verify_conditions(weight: WeightFunction, k: int) -> ConditionReport:
+    """Symbolically check the order-k defining condition of the weight.
+
+    The weighted Gram product comes by invariance (wick.gram_product_moment).
+    For k <= kappa its contractions are exactly rows of the weight's own Gram
+    system, so this check follows from the solve; the independent evidence
+    that the reduction is right is the test suite's comparison with the
+    pairing-walk kernel and with the stored expansions of that kernel.
+    """
     if not 1 <= k <= max(weight.kappa, 1):
         raise ValueError("k must lie in 1..kappa")
-    slots, labels = gram_product_slots(weight.ensemble, k)
-    got = weighted_moment(weight, slots, workers=workers)
-    structure, _ = contract_deltas(labels, ())
-    target = DeltaExpansion({structure: RatFunc(1)})
-    residual = got - target
+    residual = gram_product_moment(weight.ensemble, weight.coefficients, k) - delta_product_target(k)
     return ConditionReport(weight.ensemble, weight.kappa, k, not residual, residual)

@@ -22,10 +22,19 @@ enumerates no pairings; see Haagerup and Thorbjornsen, Expo. Math. 21
 (2003), for the complex case and Forrester, Rahman and Witte, J. Math.
 Phys. 58 (2017), for the real one.
 
-A moment with free or concrete indices is a sum over pairings of products
-of the elementary contractions above, followed by contraction of all
-internal (summed) indices: every closed all-summed index loop yields one
-factor N.  The engine walks the pairing tree depth-first, carrying a
+Weighted Gram products <w (M M+)_(i1,l1) ... (M M+)_(ik,lk)> with w a
+class function of M M+ come by invariance, again without pairings: the
+measure is invariant under M -> O M O'^T, U M V and S -> U S U^T, so the
+moment is a combination of delta structures whose coefficients depend
+only on a partition of k, and contracting with one structure per
+partition leaves a small linear system over closed trace moments (see
+gram_product_moment; Collins, IMRN 2003, no. 17, and Collins and
+Matsumoto, Weingarten calculus via orthogonality relations, 2017).
+
+Any other moment with free or concrete indices is a sum over pairings of
+products of the elementary contractions above, followed by contraction of
+all internal (summed) indices: every closed all-summed index loop yields
+one factor N.  The engine walks the pairing tree depth-first, carrying a
 union-find over index labels that it rolls back on backtracking, so the
 per-pairing cost is a handful of array operations.  At total degree 16-18
 there are 15!! to 17!! pairings; they are streamed, never materialized,
@@ -40,12 +49,13 @@ fixed matrix index) or internal summed tokens generated by the trace and
 from __future__ import annotations
 
 import enum
+import itertools
 import os
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import Poly, RatFunc
+from .algebra import Poly, RatFunc, solve_linear_system
 from .combinatorics import (
     DeltaStructure,
     Partition,
@@ -53,6 +63,8 @@ from .combinatorics import (
     check_partition,
     contract_deltas,
     double_factorial,
+    partitions_of,
+    perfect_matchings,
     set_partitions,
 )
 
@@ -945,6 +957,99 @@ def gram_product_slots(ensemble: Ensemble, k: int) -> tuple[list[Slot], list[tup
     return slots, labels
 
 
+# -- Gram products by invariance ----------------------------------------------------------
+#
+# Label 2v-2 is i_v and 2v-1 is l_v, so x ^ 1 is the other end of block v.
+# A structure pi is a partner list over the 2k labels: a perfect matching
+# for the orthogonal ensemble, the pairs (i_v, l_sigma(v)) otherwise.
+
+
+def _loop_lengths(mate: Sequence[int], other: Sequence[int] | None = None) -> Partition:
+    """Half-lengths of the cycles of mate joined with other (default: the
+    blocks (i_v, l_v)), as a partition.  With the blocks this is the cycle
+    type of sigma, or the coset type of a matching; with another structure
+    its length is the number of closed index loops of the pair."""
+    seen = [False] * len(mate)
+    parts = []
+    for start in range(len(mate)):
+        if seen[start]:
+            continue
+        n, x = 0, start
+        while not seen[x]:
+            y = x ^ 1 if other is None else other[x]
+            seen[x] = seen[y] = True
+            n += 1
+            x = mate[y]
+        parts.append(n)
+    return tuple(sorted(parts, reverse=True))
+
+
+#: (orthogonal, k) -> (classes, [(structure, class index)], A); no weight enters
+_gram_basis_memo: dict[tuple[bool, int], tuple] = {}
+
+
+def _gram_basis(orthogonal: bool, k: int) -> tuple:
+    hit = _gram_basis_memo.get((orthogonal, k))
+    if hit is not None:
+        return hit
+    if orthogonal:
+        pairings = perfect_matchings(2 * k)
+    else:
+        pairings = (tuple((2 * v, 2 * s + 1) for v, s in enumerate(sigma))
+                    for sigma in itertools.permutations(range(k)))
+    names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
+    classes = list(partitions_of(k))
+    index = {lam: c for c, lam in enumerate(classes)}
+    mates, members, reps = [], [], {}
+    for pairs in pairings:
+        mate = [0] * (2 * k)
+        for a, b in pairs:
+            mate[a], mate[b] = b, a
+        c = index[_loop_lengths(mate)]
+        reps.setdefault(c, mate)
+        structure, _ = contract_deltas([(names[a], names[b]) for a, b in pairs], ())
+        mates.append((mate, c))
+        members.append((structure, c))
+    matrix = []
+    for lam in range(len(classes)):
+        powers = [dict() for _ in classes]
+        for mate, c in mates:
+            loops = len(_loop_lengths(mate, reps[lam]))
+            powers[c][loops] = powers[c].get(loops, 0) + 1
+        matrix.append([_ratfunc_from_powers(p) for p in powers])
+    _gram_basis_memo[orthogonal, k] = (classes, members, matrix)
+    return classes, members, matrix
+
+
+def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> DeltaExpansion:
+    """<w (M M+)_(i1,l1) ... (M M+)_(ik,lk)>_g for w = sum_p a_p I_p, by invariance.
+
+    The moment is sum_pi c_(class pi) d_pi over the index structures pi:
+    perfect matchings of the 2k labels (orthogonal) or the pairings
+    i_v ~ l_sigma(v) (unitary, COE), with class the coset or cycle type, a
+    partition of k.  Contracting with one structure rho_lam per class turns
+    the blocks into p_lam(W) = prod_j tr W^{lam_j} and gives the p(k) x p(k)
+    system sum_mu A_(lam,mu) c_mu = sum_p a_p <I_p p_lam(W)>_g, with
+    A_(lam,mu) = sum over pi of class mu of N^(loops of pi and rho_lam).
+    """
+    classes, members, matrix = _gram_basis(ensemble is Ensemble.ORTHOGONAL, k)
+    rhs = []
+    for lam in classes:
+        acc = RatFunc(0)
+        for p, a in coefficients.items():
+            if a:
+                acc = acc + a * gaussian_trace_moment(ensemble, [p, lam])
+        rhs.append(acc)
+    coeffs = solve_linear_system(matrix, rhs)
+    return DeltaExpansion({structure: coeffs[c] for structure, c in members})
+
+
+def delta_product_target(k: int) -> DeltaExpansion:
+    """The target-space value of the entrywise product: d(i1,l1)...d(ik,lk)."""
+    structure, _ = contract_deltas([(f"i{v}", f"l{v}") for v in range(1, k + 1)], ())
+    return DeltaExpansion({structure: RatFunc(1)})
+
+
 # -- connected (completely correlated) parts ----------------------------------------------
 
 
@@ -976,30 +1081,21 @@ def cumulants_from_moments(items: Sequence, moment_fn: Callable[[tuple], DeltaEx
     return cumulant(tuple(items))
 
 
-def connected_entry_moment(ensemble: Ensemble, k: int, workers: int | None = None) -> DeltaExpansion:
+def connected_entry_moment(ensemble: Ensemble, k: int) -> DeltaExpansion:
     """Connected part of <(M M+)_(i1,l1) ... (M M+)_(ik,lk)>_g."""
     if k < 1:
         raise ValueError("need at least one factor")
-    memo_by_size: dict[int, DeltaExpansion] = {}
-
-    def block_labels(v: int) -> tuple[str, str]:
-        return (f"i{v}", f"l{v}")
+    by_size: dict[int, DeltaExpansion] = {}
 
     def moment_fn(sub: tuple) -> DeltaExpansion:
         s = len(sub)
-        base = memo_by_size.get(s)
-        if base is None:
-            fresh = _FreshSummed()
-            slots: list[Slot] = []
-            for v in range(1, s + 1):
-                slots.extend(gram_block_slots(ensemble, f"i{v}", f"l{v}", fresh))
-            base = _slots_expansion(ensemble, slots, workers)
-            memo_by_size[s] = base
+        if s not in by_size:
+            by_size[s] = gram_product_moment(ensemble, {(): RatFunc(1)}, s)
         mapping = {}
         for t, v in enumerate(sorted(sub), start=1):
             mapping[f"i{t}"] = f"i{v}"
             mapping[f"l{t}"] = f"l{v}"
-        return base.rename(mapping)
+        return by_size[s].rename(mapping)
 
     return cumulants_from_moments(tuple(range(1, k + 1)), moment_fn)
 

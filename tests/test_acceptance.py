@@ -1,10 +1,11 @@
 """Acceptance gate for the weighted-contraction scheme.
 
 One test per criterion; each prints a single PASS/FAIL line (visible with
-pytest -s, and implicit in the test outcome).  The expensive pieces are the
-order-4 weight tables (Gram entries of total degree 16, about 2 million
-pairings each for real entries) and the degree-18 error-order measurement;
-both go through the shared disk cache, so re-runs are cheap.
+pytest -s, and implicit in the test outcome).  Everything is computed from
+an empty cache: the order-4 weight tables come from loop-equation trace
+moments and the Gram products, up to the degree-18 stretch case, by
+invariance, each in under a second.  The Monte Carlo check of criterion 7
+takes most of the time.
 
 Criterion list:
  1  exact reproduction of the published coefficient tables

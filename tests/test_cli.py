@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -166,3 +170,17 @@ def test_sample_coe_offdiagonal(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_import_without_numpy():
+    # start-up loads numpy only when the Monte Carlo oracle is asked for
+    code = (
+        "import sys, wickweights.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported at start-up'\n"
+        "from wickweights import mc_integrate\n"
+        "assert 'numpy' in sys.modules and callable(mc_integrate)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from wickweights.integrate import (
     weighted_connected_order,
     weighted_trace_average,
 )
-from wickweights.weights import solve_weight, unit_weight
+from wickweights.weights import solve_weight, unit_weight, verify_conditions
 from wickweights.wick import gaussian_trace_moment
 
 
@@ -166,3 +168,34 @@ def test_trace_moment_reuse(w2):
     for p, c in w2.coefficients.items():
         direct = direct + c * gaussian_trace_moment(Ensemble.ORTHOGONAL, [p, (2,)])
     assert got == direct
+
+
+GRAM_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "gram_products.json"
+
+
+def test_gram_product_fixture_recomputed(monkeypatch):
+    # expansions of the former pairing-walk engine, degree up to 18, with
+    # every weight and trace moment recomputed from nothing
+    from wickweights import wick
+
+    monkeypatch.setattr(wick, "_trace_memo", {})
+    monkeypatch.setattr(wick, "_gram_basis_memo", {})
+    entries = json.loads(GRAM_FIXTURE.read_text())
+    assert len(entries) == 41
+    for e in entries:
+        ens = Ensemble(e["ensemble"])
+        w = solve_weight(ens, e["kappa"], use_disk=False) if e["kappa"] else unit_weight(ens)
+        got = integrate_gram_product(w, e["k"])
+        assert got == DeltaExpansion.from_json(e["expansion"]), (e["ensemble"], e["kappa"], e["k"])
+
+
+@pytest.mark.parametrize("ens, kappa", [(Ensemble.COE, 4), (Ensemble.UNITARY, 5)])
+def test_conditions_and_error_order_beyond_kappa_3(ens, kappa):
+    # COE kappa=4 and unitary kappa=5: exact through k = kappa, and the
+    # first deviation (degree 2 kappa + 2) decays at least like N^-3
+    w = solve_weight(ens, kappa)
+    for k in range(1, kappa + 1):
+        report = verify_conditions(w, k)
+        assert report.ok, str(report)
+    beta = error_order(w, kappa + 1)
+    assert beta is not None and beta >= kappa // 2 + 1

@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -116,6 +118,22 @@ def test_weight_json_roundtrip():
     assert [tuple(e["partition"]) for e in obj["coefficients"]] == list(enumerate_partitions(2))
     back = WeightFunction.from_json(obj)
     assert back == w
+
+
+WEIGHT_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "weights.json"
+
+
+def test_weight_fixture_recomputed(monkeypatch):
+    # the 11 tables of the former pairing-sum engine, solved from nothing
+    from wickweights import wick
+
+    monkeypatch.setattr(wick, "_trace_memo", {})
+    entries = json.loads(WEIGHT_FIXTURE.read_text())
+    assert len(entries) == 11
+    for e in entries:
+        want = WeightFunction.from_json(e)
+        got = solve_weight(want.ensemble, want.kappa, use_disk=False)
+        assert got.coefficients == want.coefficients, (want.ensemble.value, want.kappa)
 
 
 def test_weight_disk_cache(tmp_path, monkeypatch):

@@ -26,10 +26,12 @@ from wickweights import (
 )
 from wickweights.algebra import N, RatFunc
 from wickweights.combinatorics import partitions_of, set_partitions
+from wickweights.weights import solve_weight, unit_weight, weighted_moment
 from wickweights.wick import (
     _FreshSummed,
     _slots_expansion,
     cumulants_from_moments,
+    gram_product_moment,
     gram_product_slots,
     invariant_slots,
     moment_with_invariants,
@@ -308,6 +310,28 @@ def test_fork_pool_size_capped(monkeypatch):
         assert got == wick._sum_open(comp, 1)
 
 
+# -- Gram products by invariance -------------------------------------------------------
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_gram_product_matches_open_kernel(ens):
+    # the class-function reduction against the pairing walk with the
+    # weight's invariants inserted: unit weight to k=4, solved weights to k=3
+    cases = [(unit_weight(ens), k) for k in (1, 2, 3, 4)]
+    cases += [(solve_weight(ens, kappa), k) for kappa in (1, 2) for k in (1, 2, 3)]
+    for w, k in cases:
+        slots, _ = gram_product_slots(ens, k)
+        want = weighted_moment(w, slots)
+        assert gram_product_moment(ens, w.coefficients, k) == want, (w.kappa, k)
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_gram_product_matches_reference_expansion(ens):
+    for k in (1, 2, 3):
+        slots, _ = gram_product_slots(ens, k)
+        assert gram_product_moment(ens, {(): RatFunc(1)}, k) == reference_expansion(ens, slots), k
+
+
 # -- connected parts -----------------------------------------------------------------
 
 
@@ -350,6 +374,23 @@ def test_moment_cumulant_consistency(ens):
                 prod = prod * part.rename(mapping)
             total = total + prod
         assert total == full
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_connected_matches_open_kernel_cumulants(ens):
+    # the same cumulants with every moment from the pairing walk
+    for k in (1, 2, 3, 4):
+
+        def moment_fn(sub):
+            slots, _ = gram_product_slots(ens, len(sub))
+            mapping = {}
+            for t, v in enumerate(sorted(sub), start=1):
+                mapping[f"i{t}"] = f"i{v}"
+                mapping[f"l{t}"] = f"l{v}"
+            return _slots_expansion(ens, slots).rename(mapping)
+
+        want = cumulants_from_moments(tuple(range(1, k + 1)), moment_fn)
+        assert connected_entry_moment(ens, k) == want, k
 
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
