@@ -21,14 +21,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cache, wick
+from . import cache
 from .algebra import PoleError, RatFunc
 from .combinatorics import check_partition
 from .integrate import error_order, integrate_monomial
 from .weights import solve_weight, verify_conditions
 from .wick import Ensemble, MonomialSpec, gaussian_trace_moment
 
-_COST_WARNING_KAPPA = 4
+_COST_WARNING_KAPPA = 5
 
 
 def _ensemble(text: str) -> Ensemble:
@@ -171,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Wick-contraction integration over O(N), U(N) and the COE.",
         epilog=f"Weight tables are cached under $" + cache.ENV_VAR + " (default ~/.cache/wickweights).",
     )
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="cap on worker processes for the pairing sums")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weights", help="coefficient table of a weight function")
@@ -219,8 +217,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.threads is not None:
-        wick.DEFAULT_WORKERS = args.threads
     try:
         return args.func(args)
     except PoleError as exc:

@@ -21,19 +21,19 @@ from .wick import (
 from .weights import WeightFunction, unit_weight, weighted_moment
 
 
-def integrate_monomial(
-    weight: WeightFunction,
-    monomial: MonomialSpec,
-    workers: int | None = None,
-) -> DeltaExpansion:
+def integrate_monomial(weight: WeightFunction, monomial: MonomialSpec) -> DeltaExpansion:
     """Exact symbolic <w * monomial>_g.
 
-    Symbolic indices appear as free labels in the result; a fully concrete
-    monomial collapses to a single rational function of N (the expansion
-    has at most the empty delta structure).
+    Computed by invariance (see wick.entry_moment), with no Wick pairings:
+    the moment is a sum of delta structures on the indices whose
+    coefficients depend only on a partition of half the degree, and these
+    solve a small linear system over closed trace moments.  Symbolic indices
+    appear as free labels in the result; a fully concrete monomial collapses
+    to a single rational function of N (the expansion has at most the empty
+    delta structure).
     """
     monomial.validate(weight.ensemble)
-    return weighted_moment(weight, list(monomial.slots), workers=workers)
+    return weighted_moment(weight, list(monomial.slots))
 
 
 def integrate_gram_product(weight: WeightFunction, k: int) -> DeltaExpansion:

@@ -26,9 +26,9 @@ from .wick import (
     Ensemble,
     Slot,
     delta_product_target,
+    entry_moment,
     gaussian_trace_moment,
     gram_product_moment,
-    moment_with_invariants,
 )
 
 
@@ -142,15 +142,14 @@ def solve_weight(ensemble: Ensemble, kappa: int, use_disk: bool = True) -> Weigh
     return weight
 
 
-def weighted_moment(weight: WeightFunction, slots: list[Slot], workers: int | None = None) -> DeltaExpansion:
-    """<w * product of slots>_g = sum over partitions of a_k <I_k * slots>_g."""
-    out = DeltaExpansion.zero()
-    for partition, coeff in weight.coefficients.items():
-        if not coeff:
-            continue
-        term = moment_with_invariants(weight.ensemble, slots, [partition], workers=workers)
-        out = out + term.scale(coeff)
-    return out
+def weighted_moment(weight: WeightFunction, slots: list[Slot]) -> DeltaExpansion:
+    """<w * product of slots>_g = sum over partitions of a_k <I_k * slots>_g.
+
+    One pass by invariance takes all of the weight's coefficients at once
+    (wick.entry_moment): they enter only through the closed trace moments
+    on the right-hand side of its small class system.
+    """
+    return entry_moment(weight.ensemble, weight.coefficients, slots)
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,8 @@ def verify_conditions(weight: WeightFunction, k: int) -> ConditionReport:
     For k <= kappa its contractions are exactly rows of the weight's own Gram
     system, so this check follows from the solve; the independent evidence
     that the reduction is right is the test suite's comparison with the
-    pairing-walk kernel and with the stored expansions of that kernel.
+    brute-force pairing sum of tests/helpers.py and with the stored
+    expansions of the former pairing-walk engine.
     """
     if not 1 <= k <= max(weight.kappa, 1):
         raise ValueError("k must lie in 1..kappa")

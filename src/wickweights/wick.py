@@ -1,4 +1,4 @@
-"""Gaussian Wick-contraction engine for matrix-entry and trace moments.
+"""Exact Gaussian moments of matrix entries and traces, weighted or not.
 
 Ensembles
 ---------
@@ -22,35 +22,27 @@ enumerates no pairings; see Haagerup and Thorbjornsen, Expo. Math. 21
 (2003), for the complex case and Forrester, Rahman and Witte, J. Math.
 Phys. 58 (2017), for the real one.
 
-Weighted Gram products <w (M M+)_(i1,l1) ... (M M+)_(ik,lk)> with w a
-class function of M M+ come by invariance, again without pairings: the
-measure is invariant under M -> O M O'^T, U M V and S -> U S U^T, so the
-moment is a combination of delta structures whose coefficients depend
-only on a partition of k, and contracting with one structure per
-partition leaves a small linear system over closed trace moments (see
-gram_product_moment; Collins, IMRN 2003, no. 17, and Collins and
-Matsumoto, Weingarten calculus via orthogonality relations, 2017).
-
-Any other moment with free or concrete indices is a sum over pairings of
-products of the elementary contractions above, followed by contraction of
-all internal (summed) indices: every closed all-summed index loop yields
-one factor N.  The engine walks the pairing tree depth-first, carrying a
-union-find over index labels that it rolls back on backtracking, so the
-per-pairing cost is a handful of array operations.  At total degree 16-18
-there are 15!! to 17!! pairings; they are streamed, never materialized,
-and the walk can be split over worker processes at the first branching
-level.
+Every moment with free or concrete indices comes by invariance, again
+without pairings.  With w a class function of M M+, the weighted measure
+is invariant under M -> O M O'^T, U M V and S -> U S U^T, so
+<w * prod of entries> is a combination of delta structures whose
+coefficients depend only on a partition of half the degree.  Contracting
+with one structure per partition leaves a small linear system over closed
+trace moments (entry_moment; gram_product_moment for products of entrywise
+(M M+) blocks).  See Collins, IMRN 2003, no. 17; Collins and Matsumoto,
+Weingarten calculus via orthogonality relations, 2017; and Matsumoto,
+Weingarten calculus for matrix ensembles associated with compact symmetric
+spaces, 2011, for the COE action.
 
 Labels in a monomial are symbolic (str, a free index), concrete (int, a
-fixed matrix index) or internal summed tokens generated by the trace and
-(M M+)-block wirings.
+fixed matrix index) or summed (a tuple, an internal index that is
+contracted: each closed loop of summed indices is a factor N).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import os
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -62,17 +54,10 @@ from .combinatorics import (
     _label_sort_key,
     check_partition,
     contract_deltas,
-    double_factorial,
     partitions_of,
     perfect_matchings,
     set_partitions,
 )
-
-#: Cap on worker processes; None means os.cpu_count().  The CLI --threads
-#: flag overrides this.
-DEFAULT_WORKERS: int | None = None
-
-_PARALLEL_MIN_LEAVES = 500_000
 
 
 class Ensemble(str, enum.Enum):
@@ -149,6 +134,11 @@ class MonomialSpec:
 # -- delta expansions -----------------------------------------------------------------
 
 
+def _structure_order(structure: DeltaStructure) -> tuple:
+    # a block with the same labels may carry a concrete anchor or none
+    return tuple((labels, () if anchor is None else (anchor,)) for labels, anchor in structure)
+
+
 class DeltaExpansion:
     """Linear combination of delta structures with RatFunc coefficients.
 
@@ -172,7 +162,7 @@ class DeltaExpansion:
         return DeltaExpansion({(): RatFunc(coeff) if not isinstance(coeff, RatFunc) else coeff})
 
     def items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return sorted(self.terms.items(), key=lambda kv: _structure_order(kv[0]))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -269,542 +259,6 @@ class DeltaExpansion:
         return "DeltaExpansion(" + " + ".join(bits) + ")"
 
 
-# -- wiring helpers --------------------------------------------------------------------
-
-
-class _FreshSummed:
-    """Generates unique internal summed-index tokens.
-
-    Tokens from different generators collide, so a generator joining new
-    wiring onto existing slots must start past their tokens (see
-    offset_past).
-    """
-
-    def __init__(self, start: int = 0):
-        self._i = start
-
-    def __call__(self) -> tuple:
-        self._i += 1
-        return ("~", self._i)
-
-    @staticmethod
-    def offset_past(slots: Sequence[Slot]) -> "_FreshSummed":
-        top = 0
-        for s in slots:
-            for lab in (s.row, s.col):
-                if isinstance(lab, tuple):
-                    top = max(top, lab[1])
-        return _FreshSummed(top)
-
-
-def invariant_slots(ensemble: Ensemble, partition: Partition, fresh: _FreshSummed) -> list[Slot]:
-    """Slots of prod_i tr((M M+)^{k_i}) with fresh summed indices.
-
-    One factor (M M+)_{a,a'} contributes M_(a,b) times the adjoint entry:
-    M_(a',b) for real entries, ~M_(a',b) for the unitary case, and ~S_(b,a')
-    for the symmetric COE matrices (whose adjoint is the entrywise
-    conjugate).
-    """
-    slots: list[Slot] = []
-    for part in partition:
-        a = [fresh() for _ in range(part)]
-        b = [fresh() for _ in range(part)]
-        for v in range(part):
-            an = a[(v + 1) % part]
-            slots.append(Slot(a[v], b[v], False))
-            if ensemble is Ensemble.ORTHOGONAL:
-                slots.append(Slot(an, b[v], False))
-            elif ensemble is Ensemble.UNITARY:
-                slots.append(Slot(an, b[v], True))
-            else:
-                slots.append(Slot(b[v], an, True))
-    return slots
-
-
-def gram_block_slots(ensemble: Ensemble, row, col, fresh: _FreshSummed) -> list[Slot]:
-    """Slots of a single entrywise block (M M+)_(row,col)."""
-    b = fresh()
-    if ensemble is Ensemble.ORTHOGONAL:
-        return [Slot(row, b, False), Slot(col, b, False)]
-    if ensemble is Ensemble.UNITARY:
-        return [Slot(row, b, False), Slot(col, b, True)]
-    return [Slot(row, b, False), Slot(b, col, True)]
-
-
-# -- compilation ------------------------------------------------------------------------
-
-
-class _Comp(NamedTuple):
-    mode: int  # 0 = real (free pairing), 1 = bipartite, 2 = bipartite two-term
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    nv: int
-    a_list: tuple[int, ...]
-    b_list: tuple[int, ...]
-    anch: tuple[bool, ...]
-    vals: tuple[tuple[int, int], ...]
-    free_ids: tuple[int, ...]
-    m: int
-
-
-def _compile(ensemble: Ensemble, slots: Sequence[Slot]):
-    """Map labels to dense vertex ids; returns (_Comp, id->label) or None.
-
-    None means the moment vanishes structurally (odd degree, or unbalanced
-    conjugation for complex entries).
-    """
-    n = len(slots)
-    if n % 2:
-        return None
-    if ensemble.complex_entries:
-        a_list = tuple(i for i, s in enumerate(slots) if not s.conj)
-        b_list = tuple(i for i, s in enumerate(slots) if s.conj)
-        if len(a_list) != len(b_list):
-            return None
-        mode = 2 if ensemble.two_term else 1
-    else:
-        if any(s.conj for s in slots):
-            raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
-        a_list = tuple(range(n))
-        b_list = ()
-        mode = 0
-    ids: dict = {}
-    rows, cols = [], []
-    for s in slots:
-        for lab, acc in ((s.row, rows), (s.col, cols)):
-            v = ids.get(lab)
-            if v is None:
-                v = ids[lab] = len(ids)
-            acc.append(v)
-    anch = [False] * len(ids)
-    vals = []
-    free_ids = []
-    for lab, v in ids.items():
-        if isinstance(lab, str):
-            anch[v] = True
-            free_ids.append(v)
-        elif isinstance(lab, int):
-            anch[v] = True
-            vals.append((v, lab))
-    comp = _Comp(
-        mode, tuple(rows), tuple(cols), len(ids), a_list, b_list,
-        tuple(anch), tuple(vals), tuple(free_ids), n // 2,
-    )
-    labels = {v: lab for lab, v in ids.items()}
-    return comp, labels
-
-
-def _leaf_estimate(comp: _Comp) -> int:
-    if comp.mode == 0:
-        return double_factorial(2 * comp.m - 1)
-    est = 1
-    for i in range(1, comp.m + 1):
-        est *= i
-    if comp.mode == 2:
-        est <<= comp.m
-    return est
-
-
-# -- open kernel: pairing walk over entry monomials ----------------------------------------
-#
-# State: parent/size union-find without path compression (compression would
-# break rollback) and a trail of merged roots to undo on backtracking.  The
-# linked list nxt[] holds the unmatched slots; the lowest one is always
-# matched next, which makes the walk deterministic and the tree minimal.
-# Per-root bookkeeping: anch marks components containing a free or
-# concrete label, val carries the concrete index a component is pinned to.
-# n_pure counts unanchored components (each worth a factor N at the leaf).
-# A merge of two distinct concrete values kills the whole subtree.
-
-
-class _OpenState:
-    __slots__ = ("parent", "size", "anch", "val", "n_pure", "trail")
-
-    def __init__(self, comp: _Comp):
-        self.parent = list(range(comp.nv))
-        self.size = [1] * comp.nv
-        self.anch = list(comp.anch)
-        self.val: list = [None] * comp.nv
-        for v, x in comp.vals:
-            self.val[v] = x
-        self.n_pure = comp.nv - sum(comp.anch)
-        self.trail: list = []
-
-    def link(self, x: int, y: int) -> bool:
-        parent = self.parent
-        a = x
-        while parent[a] != a:
-            a = parent[a]
-        b = y
-        while parent[b] != b:
-            b = parent[b]
-        if a == b:
-            return True
-        val = self.val
-        va, vb = val[a], val[b]
-        if va is not None and vb is not None and va != vb:
-            return False
-        size = self.size
-        if size[a] < size[b]:
-            a, b = b, a
-            va, vb = vb, va
-        anch = self.anch
-        self.trail.append((b, a, anch[a], val[a]))
-        parent[b] = a
-        size[a] += size[b]
-        if not (anch[a] and anch[b]):
-            self.n_pure -= 1
-            if anch[b]:
-                anch[a] = True
-        if va is None and vb is not None:
-            val[a] = vb
-        return True
-
-    def undo_to(self, t: int) -> None:
-        trail = self.trail
-        parent, size, anch, val = self.parent, self.size, self.anch, self.val
-        while len(trail) > t:
-            b, a, pa, pv = trail.pop()
-            parent[b] = b
-            size[a] -= size[b]
-            if not (pa and anch[b]):
-                self.n_pure += 1
-            anch[a] = pa
-            val[a] = pv
-
-    def leaf_key(self, free_ids: tuple[int, ...]):
-        parent, val = self.parent, self.val
-        groups: dict[int, list[int]] = {}
-        for f in free_ids:
-            a = f
-            while parent[a] != a:
-                a = parent[a]
-            g = groups.get(a)
-            if g is None:
-                groups[a] = [f]
-            else:
-                g.append(f)
-        blocks = []
-        for r, mem in groups.items():
-            v = val[r]
-            if v is None and len(mem) == 1:
-                continue
-            blocks.append((tuple(mem), v))
-        blocks.sort(key=lambda blk: blk[0])
-        return tuple(blocks)
-
-    def leaf_roots(self, free_ids: tuple[int, ...]) -> tuple[int, ...]:
-        """Cheap leaf signature when no concrete values are in play: the
-        root of each free vertex.  Grouping by signature is finer than
-        grouping by pattern, so keys are canonicalized after the walk."""
-        parent = self.parent
-        out = []
-        for f in free_ids:
-            while parent[f] != f:
-                f = parent[f]
-            out.append(f)
-        return tuple(out)
-
-
-def _open_real(comp: _Comp, rest: list[int], st: _OpenState, counts: dict) -> None:
-    rows, cols, free_ids = comp.rows, comp.cols, comp.free_ids
-    n = len(rows)
-    SEN = n
-    nxt = [0] * (n + 1)
-    for i in range(len(rest) - 1):
-        nxt[rest[i]] = rest[i + 1]
-    if rest:
-        nxt[rest[-1]] = SEN
-    fast = not comp.vals
-
-    # n_pure rides along as a recursion argument
-    # so rollback never has to restore it
-    def rec(h, remaining, npure, rows=rows, cols=cols, parent=st.parent, size=st.size,
-            anch=st.anch, val=st.val, trail=st.trail, nxt=nxt, SEN=SEN,
-            counts=counts, free_ids=free_ids, fast=fast, st=st):
-        h2 = nxt[h]
-        rh = rows[h]
-        ch = cols[h]
-        q = -1
-        p = h2
-        while p != SEN:
-            pn = nxt[p]
-            if q < 0:
-                newhead = pn
-            else:
-                nxt[q] = pn
-                newhead = h2
-            t0 = len(trail)
-            np2 = npure
-            ok = True
-            for x, y in ((rh, rows[p]), (ch, cols[p])):
-                a = x
-                while parent[a] != a:
-                    a = parent[a]
-                b = y
-                while parent[b] != b:
-                    b = parent[b]
-                if a == b:
-                    continue
-                va = val[a]
-                vb = val[b]
-                if va is not None and vb is not None and va != vb:
-                    ok = False
-                    break
-                if size[a] < size[b]:
-                    a, b = b, a
-                    va, vb = vb, va
-                trail.append((b, a, anch[a], val[a]))
-                parent[b] = a
-                size[a] += size[b]
-                if anch[a]:
-                    if not anch[b]:
-                        np2 -= 1
-                else:
-                    np2 -= 1
-                    if anch[b]:
-                        anch[a] = True
-                if va is None and vb is not None:
-                    val[a] = vb
-            if ok:
-                if remaining == 2:
-                    if fast:
-                        out = []
-                        for f in free_ids:
-                            while parent[f] != f:
-                                f = parent[f]
-                            out.append(f)
-                        key = (tuple(out), np2)
-                    else:
-                        st.n_pure = np2
-                        key = (st.leaf_key(free_ids), np2)
-                    counts[key] = counts.get(key, 0) + 1
-                else:
-                    rec(newhead, remaining - 2, np2)
-            while len(trail) > t0:
-                b, a, pa, pv = trail.pop()
-                parent[b] = b
-                size[a] -= size[b]
-                anch[a] = pa
-                val[a] = pv
-            if q >= 0:
-                nxt[q] = p
-            q = p
-            p = pn
-
-    if not rest:
-        leaf = st.leaf_roots if fast else st.leaf_key
-        key = (leaf(free_ids), st.n_pure)
-        counts[key] = counts.get(key, 0) + 1
-        return
-    rec(rest[0], len(rest), st.n_pure)
-
-
-def _open_bip(comp: _Comp, ai0: int, b_rest: list[int], st: _OpenState, counts: dict) -> None:
-    rows, cols, free_ids = comp.rows, comp.cols, comp.free_ids
-    a_list = comp.a_list
-    two = comp.mode == 2
-    n = len(rows)
-    SEN = n
-    nxt = [0] * (n + 1)
-    for i in range(len(b_rest) - 1):
-        nxt[b_rest[i]] = b_rest[i + 1]
-    if b_rest:
-        nxt[b_rest[-1]] = SEN
-    fast = not comp.vals
-    m = comp.m
-
-    def rec(i, h, npure, rows=rows, cols=cols, parent=st.parent, size=st.size,
-            anch=st.anch, val=st.val, trail=st.trail, nxt=nxt, SEN=SEN,
-            counts=counts, free_ids=free_ids, fast=fast, st=st, a_list=a_list,
-            m=m, two=two):
-        s = a_list[i]
-        rh = rows[s]
-        ch = cols[s]
-        last = i + 1 == m
-        q = -1
-        p = h
-        while p != SEN:
-            pn = nxt[p]
-            if q < 0:
-                newhead = pn
-            else:
-                nxt[q] = pn
-                newhead = h
-            for variant in (0, 1) if two else (0,):
-                if variant == 0:
-                    wires = ((rh, rows[p]), (ch, cols[p]))
-                else:
-                    wires = ((rh, cols[p]), (ch, rows[p]))
-                t0 = len(trail)
-                np2 = npure
-                ok = True
-                for x, y in wires:
-                    a = x
-                    while parent[a] != a:
-                        a = parent[a]
-                    b = y
-                    while parent[b] != b:
-                        b = parent[b]
-                    if a == b:
-                        continue
-                    va = val[a]
-                    vb = val[b]
-                    if va is not None and vb is not None and va != vb:
-                        ok = False
-                        break
-                    if size[a] < size[b]:
-                        a, b = b, a
-                        va, vb = vb, va
-                    trail.append((b, a, anch[a], val[a]))
-                    parent[b] = a
-                    size[a] += size[b]
-                    if anch[a]:
-                        if not anch[b]:
-                            np2 -= 1
-                    else:
-                        np2 -= 1
-                        if anch[b]:
-                            anch[a] = True
-                    if va is None and vb is not None:
-                        val[a] = vb
-                if ok:
-                    if last:
-                        if fast:
-                            out = []
-                            for f in free_ids:
-                                while parent[f] != f:
-                                    f = parent[f]
-                                out.append(f)
-                            key = (tuple(out), np2)
-                        else:
-                            st.n_pure = np2
-                            key = (st.leaf_key(free_ids), np2)
-                        counts[key] = counts.get(key, 0) + 1
-                    else:
-                        rec(i + 1, newhead, np2)
-                while len(trail) > t0:
-                    b, a, pa, pv = trail.pop()
-                    parent[b] = b
-                    size[a] -= size[b]
-                    anch[a] = pa
-                    val[a] = pv
-            if q >= 0:
-                nxt[q] = p
-            q = p
-            p = pn
-
-    if not b_rest:
-        leaf = st.leaf_roots if fast else st.leaf_key
-        key = (leaf(free_ids), st.n_pure)
-        counts[key] = counts.get(key, 0) + 1
-        return
-    rec(ai0, b_rest[0], st.n_pure)
-
-
-# -- dispatch and parallel splitting ------------------------------------------------------
-
-
-def _canonical_root_counts(counts: dict, free_ids: tuple[int, ...]) -> dict:
-    """Regroup raw leaf-root signatures into canonical block patterns."""
-    out: dict = {}
-    conv: dict = {}
-    for (roots, n_pure), c in counts.items():
-        blocks = conv.get(roots)
-        if blocks is None:
-            groups: dict[int, list[int]] = {}
-            for f, r in zip(free_ids, roots):
-                groups.setdefault(r, []).append(f)
-            blocks = tuple(sorted((tuple(mem), None) for mem in groups.values() if len(mem) > 1))
-            conv[roots] = blocks
-        key = (blocks, n_pure)
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def _open_task(args):
-    comp, prefix = args
-    comp = _Comp(*comp)
-    st = _OpenState(comp)
-    rows, cols = comp.rows, comp.cols
-    counts: dict = {}
-    for sa, sb, variant in prefix:
-        if variant == 0:
-            ok = st.link(rows[sa], rows[sb]) and st.link(cols[sa], cols[sb])
-        else:
-            ok = st.link(rows[sa], cols[sb]) and st.link(cols[sa], rows[sb])
-        if not ok:
-            return counts
-    used = {s for sa_sb_v in prefix for s in sa_sb_v[:2]}
-    if comp.mode == 0:
-        rest = [s for s in comp.a_list if s not in used]
-        _open_real(comp, rest, st, counts)
-    else:
-        b_rest = [s for s in comp.b_list if s not in used]
-        _open_bip(comp, len(prefix), b_rest, st, counts)
-    if not comp.vals:
-        counts = _canonical_root_counts(counts, comp.free_ids)
-    return counts
-
-
-def _prefixes(comp: _Comp) -> list[list[tuple[int, int, int]]]:
-    """First-level branch prefixes; subtrees are equal-sized, so splitting
-    at depth one is enough to balance a handful of workers."""
-    variants = (0, 1) if comp.mode == 2 else (0,)
-    out = []
-    if comp.mode == 0:
-        first = comp.a_list[0]
-        for p in comp.a_list[1:]:
-            out.append([(first, p, 0)])
-    else:
-        first = comp.a_list[0]
-        for p in comp.b_list:
-            for v in variants:
-                out.append([(first, p, v)])
-    return out
-
-
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = DEFAULT_WORKERS
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, int(workers))
-
-
-def _run_parallel(comp: _Comp, task, merge, init, workers: int):
-    import multiprocessing as mp
-
-    prefixes = _prefixes(comp)
-    args = [(tuple(comp), p) for p in prefixes]
-    # never more processes than cores or tasks, whatever was asked for
-    size = min(workers, os.cpu_count() or 1, len(prefixes))
-    try:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(size) as pool:
-            acc = init
-            for part in pool.imap_unordered(task, args):
-                acc = merge(acc, part)
-            return acc
-    except (OSError, ValueError):
-        acc = init
-        for a in args:
-            acc = merge(acc, task(a))
-        return acc
-
-
-def _merge_counts(a: dict, b: dict) -> dict:
-    for k, v in b.items():
-        a[k] = a.get(k, 0) + v
-    return a
-
-
-def _sum_open(comp: _Comp, workers: int) -> dict:
-    if workers > 1 and _leaf_estimate(comp) >= _PARALLEL_MIN_LEAVES:
-        return _run_parallel(comp, _open_task, _merge_counts, {}, workers)
-    return _open_task((tuple(comp), []))
-
-
 def _ratfunc_from_powers(powers: dict[int, int]) -> RatFunc:
     """Sum of count * N^power over entries, as one canonical rational function."""
     powers = {p: c for p, c in powers.items() if c}
@@ -841,37 +295,10 @@ def elementary_contraction(ensemble: Ensemble, slot_a: Slot, slot_b: Slot) -> De
     return out
 
 
-def _slots_expansion(ensemble: Ensemble, slots: Sequence[Slot], workers: int | None = None) -> DeltaExpansion:
-    """<product of slots>_g as a delta expansion over the free labels."""
-    if not slots:
-        return DeltaExpansion.unit()
-    compiled = _compile(ensemble, slots)
-    if compiled is None:
-        return DeltaExpansion.zero()
-    comp, labels = compiled
-    counts = _sum_open(comp, resolve_workers(workers))
-    scale = RatFunc(1, ensemble.pair_denominator ** comp.m)
-    by_pattern: dict[tuple, dict[int, int]] = {}
-    for (key, n_pure), c in counts.items():
-        d = by_pattern.setdefault(key, {})
-        d[n_pure] = d.get(n_pure, 0) + c
-    out: dict[DeltaStructure, RatFunc] = {}
-    for key, powers in by_pattern.items():
-        blocks = []
-        for mem, anchor in key:
-            blocks.append((tuple(sorted((labels[v] for v in mem), key=_label_sort_key)), anchor))
-        blocks.sort(key=lambda blk: tuple(_label_sort_key(x) for x in blk[0]))
-        coeff = _ratfunc_from_powers(powers) * scale
-        k = tuple(blocks)
-        prev = out.get(k)
-        out[k] = coeff if prev is None else prev + coeff
-    return DeltaExpansion(out)
-
-
-def gaussian_entry_moment(ensemble: Ensemble, monomial: MonomialSpec, workers: int | None = None) -> DeltaExpansion:
-    """Gaussian average of an entry monomial, summed over all Wick pairings."""
+def gaussian_entry_moment(ensemble: Ensemble, monomial: MonomialSpec) -> DeltaExpansion:
+    """Gaussian average of an entry monomial, by invariance (see entry_moment)."""
     monomial.validate(ensemble)
-    return _slots_expansion(ensemble, monomial.slots, workers)
+    return entry_moment(ensemble, {(): RatFunc(1)}, monomial.slots)
 
 
 #: (ensemble, powers) -> numerator of every loop-equation state visited so far
@@ -937,38 +364,28 @@ def moment_with_invariants(
     ensemble: Ensemble,
     slots: Sequence[Slot],
     invariants: Iterable[Partition],
-    workers: int | None = None,
 ) -> DeltaExpansion:
-    """<prod_i tr((M M+)^{k_i}) * prod slots>_g with fresh internal indices."""
-    fresh = _FreshSummed.offset_past(slots)
-    flat: Partition = tuple(sorted((x for p in invariants for x in p), reverse=True))
-    full = invariant_slots(ensemble, flat, fresh) + list(slots)
-    return _slots_expansion(ensemble, full, workers)
+    """<prod_i tr((M M+)^{k_i}) * prod slots>_g, by invariance (see entry_moment)."""
+    flat: Partition = tuple(sorted((x for p in invariants for x in check_partition(p)), reverse=True))
+    return entry_moment(ensemble, {flat: RatFunc(1)}, slots)
 
 
-def gram_product_slots(ensemble: Ensemble, k: int) -> tuple[list[Slot], list[tuple[str, str]]]:
-    """Slots of (M M+)_(i1,l1) ... (M M+)_(ik,lk) plus the label pairs."""
-    fresh = _FreshSummed()
-    slots: list[Slot] = []
-    labels = []
-    for v in range(1, k + 1):
-        slots.extend(gram_block_slots(ensemble, f"i{v}", f"l{v}", fresh))
-        labels.append((f"i{v}", f"l{v}"))
-    return slots, labels
-
-
-# -- Gram products by invariance ----------------------------------------------------------
+# -- moments by invariance ----------------------------------------------------------------
 #
-# Label 2v-2 is i_v and 2v-1 is l_v, so x ^ 1 is the other end of block v.
-# A structure pi is a partner list over the 2k labels: a perfect matching
-# for the orthogonal ensemble, the pairs (i_v, l_sigma(v)) otherwise.
+# A structure pi is a partner list over 2k labels: a perfect matching in
+# the orthogonal basis, the pairs (2v, 2 sigma(v) + 1) in the unitary one.
+# Its class is the partition given by its loops with the base pairs
+# (2v, 2v+1).  For Gram products label 2v is i_(v+1) and 2v+1 is l_(v+1),
+# and the COE uses the unitary basis; for entry monomials the labels are
+# slot positions (or, for the COE, plain index ends) and the COE uses the
+# orthogonal basis.
 
 
 def _loop_lengths(mate: Sequence[int], other: Sequence[int] | None = None) -> Partition:
     """Half-lengths of the cycles of mate joined with other (default: the
-    blocks (i_v, l_v)), as a partition.  With the blocks this is the cycle
-    type of sigma, or the coset type of a matching; with another structure
-    its length is the number of closed index loops of the pair."""
+    base pairs (2v, 2v+1)), as a partition.  With the base pairs this is the
+    cycle type of sigma, or the coset type of a matching; with another
+    structure its length is the number of closed index loops of the pair."""
     seen = [False] * len(mate)
     parts = []
     for start in range(len(mate)):
@@ -984,12 +401,28 @@ def _loop_lengths(mate: Sequence[int], other: Sequence[int] | None = None) -> Pa
     return tuple(sorted(parts, reverse=True))
 
 
-#: (orthogonal, k) -> (classes, [(structure, class index)], A); no weight enters
-_gram_basis_memo: dict[tuple[bool, int], tuple] = {}
+def _class_matrix(counts: list, phi: list[dict[int, int]]) -> list[list[RatFunc]]:
+    """A[lam][mu] = sum_nu counts[lam][mu][nu] phi_nu, each phi_nu an integer
+    polynomial in N given as power -> coefficient."""
+    matrix = []
+    for row in counts:
+        entries = []
+        for cell in row:
+            powers: dict[int, int] = {}
+            for nu, n in cell.items():
+                for p, x in phi[nu].items():
+                    powers[p] = powers.get(p, 0) + n * x
+            entries.append(_ratfunc_from_powers(powers))
+        matrix.append(entries)
+    return matrix
 
 
-def _gram_basis(orthogonal: bool, k: int) -> tuple:
-    hit = _gram_basis_memo.get((orthogonal, k))
+#: (orthogonal, k) -> (the partitions of k, [(pairs, class index)] for every structure)
+_structures_memo: dict[tuple[bool, int], tuple] = {}
+
+
+def _structures(orthogonal: bool, k: int) -> tuple[list[Partition], list[tuple[tuple, int]]]:
+    hit = _structures_memo.get((orthogonal, k))
     if hit is not None:
         return hit
     if orthogonal:
@@ -997,28 +430,58 @@ def _gram_basis(orthogonal: bool, k: int) -> tuple:
     else:
         pairings = (tuple((2 * v, 2 * s + 1) for v, s in enumerate(sigma))
                     for sigma in itertools.permutations(range(k)))
-    names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
     classes = list(partitions_of(k))
     index = {lam: c for c, lam in enumerate(classes)}
-    mates, members, reps = [], [], {}
-    for pairs in pairings:
-        mate = [0] * (2 * k)
-        for a, b in pairs:
-            mate[a], mate[b] = b, a
-        c = index[_loop_lengths(mate)]
-        reps.setdefault(c, mate)
-        structure, _ = contract_deltas([(names[a], names[b]) for a, b in pairs], ())
-        mates.append((mate, c))
-        members.append((structure, c))
-    matrix = []
-    for lam in range(len(classes)):
-        powers = [dict() for _ in classes]
-        for mate, c in mates:
-            loops = len(_loop_lengths(mate, reps[lam]))
-            powers[c][loops] = powers[c].get(loops, 0) + 1
-        matrix.append([_ratfunc_from_powers(p) for p in powers])
-    _gram_basis_memo[orthogonal, k] = (classes, members, matrix)
-    return classes, members, matrix
+    classed = [(pairs, index[_loop_lengths(_mate(pairs))]) for pairs in pairings]
+    _structures_memo[orthogonal, k] = classes, classed
+    return classes, classed
+
+
+def _mate(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    mate = [0] * (2 * len(pairs))
+    for a, b in pairs:
+        mate[a], mate[b] = b, a
+    return mate
+
+
+#: (orthogonal, k) -> (counts, A), where counts[lam][mu] maps nu to the number
+#: of structures of class mu whose loops with rho_lam have type nu, and
+#: A[lam][mu] = sum over pi of class mu of N^(loops of pi and rho_lam); no weight enters
+_gram_basis_memo: dict[tuple[bool, int], tuple] = {}
+
+
+def _gram_basis(orthogonal: bool, k: int) -> tuple[list, list[list[RatFunc]]]:
+    hit = _gram_basis_memo.get((orthogonal, k))
+    if hit is not None:
+        return hit
+    classes, classed = _structures(orthogonal, k)
+    index = {lam: c for c, lam in enumerate(classes)}
+    mates = [(_mate(pairs), mu) for pairs, mu in classed]
+    reps = {}
+    for mate, mu in mates:
+        reps.setdefault(mu, mate)
+    counts = [[{} for _ in classes] for _ in classes]
+    for lam, row in enumerate(counts):
+        for mate, mu in mates:
+            nu = index[_loop_lengths(mate, reps[lam])]
+            row[mu][nu] = row[mu].get(nu, 0) + 1
+    matrix = _class_matrix(counts, [{len(nu): 1} for nu in classes])
+    _gram_basis_memo[orthogonal, k] = counts, matrix
+    return counts, matrix
+
+
+def _class_targets(
+    ensemble: Ensemble, coefficients: dict[Partition, RatFunc], classes: Sequence[Partition]
+) -> list[RatFunc]:
+    """sum_p a_p <I_p p_lam(W)>_g for every class lam, p_lam(W) = prod_j tr W^(lam_j)."""
+    rhs = []
+    for lam in classes:
+        acc = RatFunc(0)
+        for p, a in coefficients.items():
+            if a:
+                acc = acc + a * gaussian_trace_moment(ensemble, [p, lam])
+        rhs.append(acc)
+    return rhs
 
 
 def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> DeltaExpansion:
@@ -1032,16 +495,192 @@ def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFun
     system sum_mu A_(lam,mu) c_mu = sum_p a_p <I_p p_lam(W)>_g, with
     A_(lam,mu) = sum over pi of class mu of N^(loops of pi and rho_lam).
     """
-    classes, members, matrix = _gram_basis(ensemble is Ensemble.ORTHOGONAL, k)
-    rhs = []
-    for lam in classes:
-        acc = RatFunc(0)
-        for p, a in coefficients.items():
-            if a:
-                acc = acc + a * gaussian_trace_moment(ensemble, [p, lam])
-        rhs.append(acc)
-    coeffs = solve_linear_system(matrix, rhs)
-    return DeltaExpansion({structure: coeffs[c] for structure, c in members})
+    classes, pairings = _structures(ensemble is Ensemble.ORTHOGONAL, k)
+    _, matrix = _gram_basis(ensemble is Ensemble.ORTHOGONAL, k)
+    coeffs = solve_linear_system(matrix, _class_targets(ensemble, coefficients, classes))
+    names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
+    out = {}
+    for pairs, c in pairings:
+        structure, _ = contract_deltas([(names[a], names[b]) for a, b in pairs], ())
+        out[structure] = coeffs[c]
+    return DeltaExpansion(out)
+
+
+def _cycle_count(perm: Sequence[int]) -> int:
+    seen = [False] * len(perm)
+    n = 0
+    for x in range(len(perm)):
+        if not seen[x]:
+            n += 1
+            while not seen[x]:
+                seen[x] = True
+                x = perm[x]
+    return n
+
+
+#: m -> the COE class matrix of _coe_matrix
+_coe_matrix_memo: dict[int, list[list[RatFunc]]] = {}
+
+
+def _coe_matrix(m: int) -> list[list[RatFunc]]:
+    """Class matrix of the COE: the matching counts of _gram_basis(True, m)
+    with phi_nu = sum over the hyperoctahedral group B_m of N^cyc(z_nu b) in
+    place of N^loops.  Here z_nu carries the pairs of a matching of class nu
+    onto the base pairs (2v, 2v+1), and b runs over the permutations that
+    map base pairs to base pairs."""
+    hit = _coe_matrix_memo.get(m)
+    if hit is not None:
+        return hit
+    classes, pairings = _structures(True, m)
+    reps: dict[int, tuple] = {}
+    for pairs, c in pairings:
+        reps.setdefault(c, pairs)
+    phi = []
+    for c in range(len(classes)):
+        z = [0] * (2 * m)
+        for v, (a, b) in enumerate(reps[c]):
+            z[a], z[b] = 2 * v, 2 * v + 1
+        powers: dict[int, int] = {}
+        for tau in itertools.permutations(range(m)):
+            for flips in itertools.product((0, 1), repeat=m):
+                n = _cycle_count([z[2 * tau[v] + (e ^ flips[v])] for v in range(m) for e in (0, 1)])
+                powers[n] = powers.get(n, 0) + 1
+        phi.append(powers)
+    matrix = _coe_matrix_memo[m] = _class_matrix(_gram_basis(True, m)[0], phi)
+    return matrix
+
+
+def _edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u <= v else (v, u)
+
+
+def _paired_structures(placed: Sequence[Slot], ids: dict, pairings: list, coeffs: list[RatFunc]) -> dict:
+    """(class, edges) -> number of pairs of a row pairing and a column pairing.
+
+    Row pairings are taken once per orbit under the permutations of
+    identical slots, weighted by the orbit size.  With g the map of the base
+    pairs onto a row pairing, the column pairing runs over g(tau) for every
+    tau of a class with a nonzero coefficient; the pair then has the class
+    of tau.
+    """
+    rows = [ids[s.row] for s in placed]
+    cols = [ids[s.col] for s in placed]
+    concrete = {i for lab, i in ids.items() if isinstance(lab, int)}
+    kinds: dict[Slot, int] = {}
+    kind = [kinds.setdefault(s, len(kinds)) for s in placed]
+    orbits: dict[tuple, list] = {}
+    for pairs, _ in pairings:
+        orbit = orbits.setdefault(tuple(sorted(_edge(kind[a], kind[b]) for a, b in pairs)), [pairs, 0])
+        orbit[1] += 1
+    live = [(tau, c) for tau, c in pairings if coeffs[c]]
+    counts: dict[tuple, int] = {}
+    for pairs, size in orbits.values():
+        row = tuple(sorted(_edge(rows[a], rows[b]) for a, b in pairs))
+        if any(u != v and u in concrete and v in concrete for u, v in row):
+            continue
+        col_at = [cols[x] for ab in pairs for x in ab]
+        for tau, c in live:
+            key = (c, row + tuple(sorted(_edge(col_at[x], col_at[y]) for x, y in tau)))
+            counts[key] = counts.get(key, 0) + size
+    return counts
+
+
+def _coe_structures(placed: Sequence[Slot], ids: dict, pairings: list, coeffs: list[RatFunc]) -> dict:
+    """(class, edges) -> number of bijections pi from plain to conjugated index ends.
+
+    pi is written as tau, the pairing of the plain ends that pi sends to
+    one conjugated slot (pi has the class of tau), completed by a conjugated
+    slot and an orientation for each pair of tau.  Completions are counted
+    by the labels they join, so identical slots merge.
+    """
+    plain_ends = [ids[lab] for s in placed[0::2] for lab in (s.row, s.col)]
+    conj_ends = [(ids[s.row], ids[s.col]) for s in placed[1::2]]
+    completions: dict[tuple, int] = {}
+    for order in itertools.permutations(conj_ends):
+        for oriented in itertools.product(*(((r, c), (c, r)) for r, c in order)):
+            right = sum(oriented, ())
+            completions[right] = completions.get(right, 0) + 1
+    counts: dict[tuple, int] = {}
+    for tau, c in pairings:
+        if not coeffs[c]:
+            continue
+        left = [plain_ends[x] for ab in tau for x in ab]
+        for right, n in completions.items():
+            key = (c, tuple(sorted(zip(left, right))))
+            counts[key] = counts.get(key, 0) + n
+    return counts
+
+
+def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slots: Sequence[Slot]) -> DeltaExpansion:
+    """<w * prod slots>_g for w = sum_p a_p I_p, by invariance.
+
+    The slots sit at positions 0..2m-1: in order for the orthogonal
+    ensemble, plain slot v at 2v and conjugated slot v at 2v+1 otherwise.
+    The moment is sum_pi c_(class pi) d_pi, where pi joins the row ends by
+    one pairing of _structures and the column ends by another (orthogonal,
+    unitary), or every plain index end to a conjugated one (COE), and the
+    class is the partition of m given by the half-lengths of the loops pi
+    closes with the entries.  Contracting with one structure per class lam
+    gives T_lam = sum_p a_p <I_p p_lam(W)>_g.  For the orthogonal and
+    unitary ensembles the row and column contractions each act as the class
+    matrix A, which commutes with c (the class functions form a commutative
+    algebra), so T = A A c and two solves give c.  For the COE one solve
+    with _coe_matrix does.  Without invariants in the weight c is known:
+    a_0 / d^m on the Wick pairings, the class 1^m, and 0 elsewhere.  Summed
+    (tuple) labels are contracted, each closed loop of them a factor N.
+    """
+    if not ensemble.complex_entries and any(s.conj for s in slots):
+        raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
+    if ensemble.complex_entries:
+        plain = [s for s in slots if not s.conj]
+        conj = [s for s in slots if s.conj]
+        if len(plain) != len(conj):
+            return DeltaExpansion.zero()
+        placed = [s for pair in zip(plain, conj) for s in pair]
+    elif len(slots) % 2:
+        return DeltaExpansion.zero()
+    else:
+        placed = list(slots)
+    m = len(placed) // 2
+    # the COE's tau pairs plain index ends freely, like orthogonal row ends
+    orthogonal = ensemble is not Ensemble.UNITARY
+    classes, pairings = _structures(orthogonal, m)
+    if set(coefficients) <= {()}:
+        # the plain Gaussian moment: only the Wick pairings, of class 1^m, remain
+        wick = coefficients.get((), RatFunc(0)) * RatFunc(1, ensemble.pair_denominator ** m)
+        coeffs = [wick if lam == (1,) * m else RatFunc(0) for lam in classes]
+    elif ensemble is Ensemble.COE:
+        coeffs = solve_linear_system(_coe_matrix(m), _class_targets(ensemble, coefficients, classes))
+    else:
+        matrix = _gram_basis(orthogonal, m)[1]
+        coeffs = solve_linear_system(matrix, solve_linear_system(matrix, _class_targets(ensemble, coefficients, classes)))
+    labels = list(dict.fromkeys(lab for s in placed for lab in (s.row, s.col)))
+    ids = {lab: i for i, lab in enumerate(labels)}
+    structures = _coe_structures if ensemble is Ensemble.COE else _paired_structures
+    counts = structures(placed, ids, pairings, coeffs)
+    summed = {lab for lab in labels if isinstance(lab, tuple)}
+    contracted: dict[tuple, tuple | None] = {}
+    powers: dict[DeltaStructure, dict[int, dict[int, int]]] = {}
+    for (c, edges), n in counts.items():
+        if edges not in contracted:
+            contracted[edges] = contract_deltas([(labels[a], labels[b]) for a, b in edges], summed)
+        res = contracted[edges]
+        if res is None:
+            continue
+        structure, power = res
+        by_power = powers.setdefault(structure, {}).setdefault(c, {})
+        by_power[power] = by_power.get(power, 0) + n
+    out: dict[DeltaStructure, RatFunc] = {}
+    values: dict[tuple, RatFunc] = {}  # most structures share their counts
+    for structure, by_class in powers.items():
+        key = tuple(sorted((c, tuple(sorted(by_power.items()))) for c, by_power in by_class.items()))
+        if key not in values:
+            acc = RatFunc(0)
+            for c, by_power in by_class.items():
+                acc = acc + coeffs[c] * _ratfunc_from_powers(by_power)
+            values[key] = acc
+        out[structure] = values[key]
+    return DeltaExpansion(out)
 
 
 def delta_product_target(k: int) -> DeltaExpansion:

@@ -3,10 +3,10 @@
 Two cross-checks for the contraction engine, deliberately on different
 foundations:
 
-* reference_expansion: literal sum over the streamed pairings, multiplying
-  elementary contractions and contracting deltas with the public
-  contract_deltas.  Same mathematics, independent code path (no rollback
-  union-find, no incremental state).
+* reference_expansion: literal sum over the streamed Wick pairings,
+  multiplying elementary contractions and contracting deltas with the
+  public contract_deltas.  The engine itself never enumerates pairings; it
+  works by invariance.
 
 * concrete-index oracles: no pairings at all.  Assign every index a value,
   group the factors into independent scalar Gaussians and use closed-form
@@ -21,10 +21,71 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from wickweights import DeltaExpansion, Ensemble, Slot, enumerate_pairings
+from wickweights import DeltaExpansion, Ensemble, Partition, Slot, enumerate_pairings
 from wickweights.algebra import Poly, RatFunc
 from wickweights.combinatorics import contract_deltas
-from wickweights.wick import _FreshSummed, invariant_slots
+
+
+# -- wirings of invariants and Gram blocks into slots ----------------------------------
+
+
+class FreshSummed:
+    """Generates unique internal summed-index tokens ("~", n)."""
+
+    def __init__(self, start: int = 0):
+        self._i = start
+
+    def __call__(self) -> tuple:
+        self._i += 1
+        return ("~", self._i)
+
+
+def invariant_slots(ensemble: Ensemble, partition: Partition, fresh: FreshSummed) -> list[Slot]:
+    """Slots of prod_i tr((M M+)^{k_i}) with fresh summed indices.
+
+    One factor (M M+)_{a,a'} contributes M_(a,b) times the adjoint entry:
+    M_(a',b) for real entries, ~M_(a',b) for the unitary case, and ~S_(b,a')
+    for the symmetric COE matrices (whose adjoint is the entrywise
+    conjugate).
+    """
+    slots: list[Slot] = []
+    for part in partition:
+        a = [fresh() for _ in range(part)]
+        b = [fresh() for _ in range(part)]
+        for v in range(part):
+            an = a[(v + 1) % part]
+            slots.append(Slot(a[v], b[v], False))
+            if ensemble is Ensemble.ORTHOGONAL:
+                slots.append(Slot(an, b[v], False))
+            elif ensemble is Ensemble.UNITARY:
+                slots.append(Slot(an, b[v], True))
+            else:
+                slots.append(Slot(b[v], an, True))
+    return slots
+
+
+def gram_block_slots(ensemble: Ensemble, row, col, fresh: FreshSummed) -> list[Slot]:
+    """Slots of a single entrywise block (M M+)_(row,col)."""
+    b = fresh()
+    if ensemble is Ensemble.ORTHOGONAL:
+        return [Slot(row, b, False), Slot(col, b, False)]
+    if ensemble is Ensemble.UNITARY:
+        return [Slot(row, b, False), Slot(col, b, True)]
+    return [Slot(row, b, False), Slot(b, col, True)]
+
+
+def gram_product_slots(ensemble: Ensemble, k: int) -> tuple[list[Slot], list[tuple[str, str]]]:
+    """Slots of (M M+)_(i1,l1) ... (M M+)_(ik,lk) plus the label pairs."""
+    fresh = FreshSummed()
+    slots: list[Slot] = []
+    labels = []
+    for v in range(1, k + 1):
+        slots.extend(gram_block_slots(ensemble, f"i{v}", f"l{v}", fresh))
+        labels.append((f"i{v}", f"l{v}"))
+    return slots, labels
+
+
+# -- oracles ---------------------------------------------------------------------------
 
 
 def reference_expansion(ensemble: Ensemble, slots) -> DeltaExpansion:
@@ -107,7 +168,7 @@ def oracle_trace_moment(ensemble: Ensemble, invariants, n: int) -> Fraction:
     """Exact <prod tr((M M+)^k_i)>_g at a concrete dimension, by summing the
     concrete-index oracle over all index assignments."""
     flat = tuple(x for p in invariants for x in p)
-    slots = invariant_slots(ensemble, flat, _FreshSummed())
+    slots = invariant_slots(ensemble, flat, FreshSummed())
     labels = sorted({lab for s in slots for lab in (s.row, s.col)})
     total = Fraction(0)
     for assign in itertools.product(range(n), repeat=len(labels)):

@@ -51,13 +51,23 @@ def test_unknown_ensemble_usage_error(capsys):
     assert code == 2
 
 
-def test_cost_warning_above_four(capsys):
-    # kappa=5 would be slow; just check the arg path emits the warning for
-    # a command that fails later on purpose (bad monomial)
-    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "5",
+def test_cost_warning_above_five(capsys):
+    # the warning is printed before the monomial is parsed, so a bad
+    # monomial shows it without any solve; kappa=5 solves in seconds
+    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "6",
                        "--monomial", "M[1,1")
     assert code == 2
     assert "warning" in err
+    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "5",
+                       "--monomial", "M[1,1")
+    assert code == 2
+    assert "warning" not in err and "error" in err
+
+
+def test_threads_is_usage_error(capsys):
+    assert main(["--threads", "2", "moment", "--ensemble", "orthogonal", "--invariants", "2"]) == 2
+    assert main(["--threads=2", "moment", "--ensemble", "orthogonal", "--invariants", "2"]) == 2
+    assert main(["moment", "--ensemble", "orthogonal", "--invariants", "2", "--threads", "2"]) == 2
 
 
 def test_moment_command(capsys):
@@ -102,6 +112,17 @@ def test_integrate_symbolic_text_and_json(capsys):
                        "--monomial", "M[i,a] M[j,a]", "--format", "json")
     obj = json.loads(out)
     assert obj == [{"deltas": [["i", "j"]], "coeff": {"num": ["1"], "den": ["0", "1"]}}]
+
+
+def test_integrate_symbolic_mixed_anchors(capsys):
+    # d(i,j) and d(i,j,2) hold the same labels, one pinned to an index
+    argv = ("integrate", "--ensemble", "orthogonal", "--kappa", "2",
+            "--monomial", "M[i,2] M[i,2] M[j,i] M[j,i]")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [ln.split()[0] for ln in out.splitlines()] == ["1", "d(i,2)", "d(i,j)", "d(i,j,2)"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 4
 
 
 def test_integrate_rejects_conjugation_for_orthogonal(capsys):
@@ -184,3 +205,22 @@ def test_import_without_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_integrate_kappa_4_degree_8_without_worker_processes():
+    # Haar E[O_11^8] on O(N); the weight of order 4 reproduces it exactly
+    from wickweights.algebra import N, RatFunc
+
+    code = (
+        "import sys\n"
+        "from wickweights.cli import main\n"
+        "rc = main(['integrate', '--ensemble', 'orthogonal', '--kappa', '4',\n"
+        "           '--monomial', ' '.join(['M[1,1]'] * 8)])\n"
+        "assert rc == 0, rc\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(RatFunc(105, N * (N + 2) * (N + 4) * (N + 6)))

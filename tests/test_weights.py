@@ -102,7 +102,7 @@ def test_verify_detects_broken_weight():
 
 
 def test_unit_weight():
-    from wickweights.wick import gram_product_slots
+    from helpers import gram_product_slots
 
     w = unit_weight(Ensemble.ORTHOGONAL)
     assert w.kappa == 0

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import pathlib
 import random
 from fractions import Fraction
@@ -8,7 +7,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    FreshSummed,
     evaluate_expansion,
+    gram_product_slots,
+    invariant_slots,
     oracle_concrete_moment,
     oracle_trace_moment,
     reference_expansion,
@@ -26,14 +28,12 @@ from wickweights import (
 )
 from wickweights.algebra import N, RatFunc
 from wickweights.combinatorics import partitions_of, set_partitions
+from wickweights.integrate import integrate_monomial
 from wickweights.weights import solve_weight, unit_weight, weighted_moment
 from wickweights.wick import (
-    _FreshSummed,
-    _slots_expansion,
     cumulants_from_moments,
+    entry_moment,
     gram_product_moment,
-    gram_product_slots,
-    invariant_slots,
     moment_with_invariants,
 )
 
@@ -42,6 +42,10 @@ ENSEMBLES = [Ensemble.ORTHOGONAL, Ensemble.UNITARY, Ensemble.COE]
 
 def expansion(items):
     return DeltaExpansion({k: v for k, v in items})
+
+
+def slots_moment(ens, slots):
+    return gaussian_entry_moment(ens, MonomialSpec(tuple(slots)))
 
 
 # -- elementary contractions ---------------------------------------------------------
@@ -108,7 +112,7 @@ def test_complex_entry_second_moment():
 
 def test_gram_block_pure_gaussian():
     slots, _ = gram_product_slots(Ensemble.ORTHOGONAL, 2)
-    got = _slots_expansion(Ensemble.ORTHOGONAL, slots)
+    got = slots_moment(Ensemble.ORTHOGONAL, slots)
     inv = RatFunc(1, N)
     assert got == expansion([
         (((("i1", "l1"), None), (("i2", "l2"), None)), RatFunc(1)),
@@ -140,7 +144,7 @@ def _random_monomial(rng, ens, npairs):
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
 def test_engine_matches_reference_stream(ens):
-    # the rollback-DFS kernel against the literal pairing-stream evaluation
+    # the invariance reduction against the literal pairing-stream evaluation
     rng = random.Random(hash(ens.value) & 0xFFFF)
     for _ in range(12):
         m = _random_monomial(rng, ens, rng.randint(1, 3))
@@ -165,9 +169,50 @@ def test_engine_matches_concrete_oracle(ens):
             assert got.eval(n) == oracle_concrete_moment(ens, m.slots, n)
 
 
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_integrate_monomial_matches_reference_expansion(ens):
+    # brute force that shares no code with the invariance reduction: the
+    # pairing stream over the weight's invariant slots and the monomial
+    rng = random.Random(f"oracle/{ens.value}")
+    distinct = MonomialSpec.parse("M[a,b] Mc[c,d] M[e,f] Mc[g,h]" if ens.complex_entries
+                                  else "M[a,b] M[c,d] M[e,f] M[g,h]")
+    for kappa in (0, 1, 2):
+        w = solve_weight(ens, kappa) if kappa else unit_weight(ens)
+        monomials = [distinct] + [_random_monomial(rng, ens, npairs) for npairs in (1, 2, 2, 2)]
+        for m in monomials:
+            want = DeltaExpansion.zero()
+            for p, a in w.coefficients.items():
+                slots = invariant_slots(ens, p, FreshSummed()) + list(m.slots)
+                want = want + reference_expansion(ens, slots).scale(a)
+            assert integrate_monomial(w, m) == want, (kappa, m)
+
+
+ENTRY_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "entry_moments.json"
+
+
+def test_entry_moment_fixture_recomputed(monkeypatch):
+    # integrals of the former pairing-walk engine, recomputed from nothing:
+    # every ensemble, the unit weight and kappa 1-3 up to degree 8 with
+    # free, concrete and repeated labels, the CLI benchmark's six monomials
+    # and orthogonal kappa=4 M[1,1]^8
+    from wickweights import wick
+
+    for memo in ("_trace_memo", "_structures_memo", "_gram_basis_memo", "_coe_matrix_memo"):
+        monkeypatch.setattr(wick, memo, {})
+    entries = json.loads(ENTRY_FIXTURE.read_text())
+    assert len(entries) == 336
+    weights = {}
+    for e in entries:
+        ens, kappa = Ensemble(e["ensemble"]), e["kappa"]
+        if (ens, kappa) not in weights:
+            weights[ens, kappa] = solve_weight(ens, kappa, use_disk=False) if kappa else unit_weight(ens)
+        got = integrate_monomial(weights[ens, kappa], MonomialSpec.parse(e["monomial"]))
+        assert got == DeltaExpansion.from_json(e["expansion"]), (e["ensemble"], kappa, e["monomial"])
+
+
 def test_expansion_with_free_labels_matches_oracle():
     slots, labels = gram_product_slots(Ensemble.ORTHOGONAL, 2)
-    exp = _slots_expansion(Ensemble.ORTHOGONAL, slots)
+    exp = slots_moment(Ensemble.ORTHOGONAL, slots)
     # evaluate at every concrete assignment of the free labels and compare
     n = 2
     for i1 in (1, 2):
@@ -259,10 +304,15 @@ def test_trace_moment_fixture_recomputed(monkeypatch):
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
 def test_trace_moment_matches_open_kernel(ens):
-    for weight in range(1, 7):
+    # the loop equation against the entry-moment routine on the trace's own
+    # slots, whose summed indices it contracts
+    for weight in range(1, 5):
         for lam in partitions_of(weight):
-            open_sum = moment_with_invariants(ens, [], [lam]).as_ratfunc()
+            slots = invariant_slots(ens, lam, FreshSummed())
+            open_sum = entry_moment(ens, {(): RatFunc(1)}, slots).as_ratfunc()
             assert gaussian_trace_moment(ens, [lam]) == open_sum, lam
+            # with no slots the invariant is the weight of a degree-0 moment
+            assert moment_with_invariants(ens, [], [lam]).as_ratfunc() == open_sum, lam
 
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
@@ -270,7 +320,7 @@ def test_trace_moment_matches_reference_expansion(ens):
     # every multiset of single traces up to degree 8, by the brute-force oracle
     for weight in range(1, 5):
         for powers in partitions_of(weight):
-            slots = invariant_slots(ens, powers, _FreshSummed())
+            slots = invariant_slots(ens, powers, FreshSummed())
             expected = reference_expansion(ens, slots).as_ratfunc()
             assert gaussian_trace_moment(ens, [(k,) for k in powers]) == expected, powers
 
@@ -287,36 +337,13 @@ def test_trace_moment_degree_36(ens):
     assert Fraction(got.num.lc, got.den.lc) == 132 ** 3
 
 
-def test_fork_pool_size_capped(monkeypatch):
-    import multiprocessing
-
-    from wickweights import wick
-
-    sizes = []
-
-    class NoPoolContext:
-        def Pool(self, size):
-            sizes.append(size)
-            raise OSError("no pool is started in this test")
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoPoolContext())
-    slots, _ = gram_product_slots(Ensemble.ORTHOGONAL, 2)
-    comp, _ = wick._compile(Ensemble.ORTHOGONAL, slots)
-    tasks = len(wick._prefixes(comp))
-    for cores, expected in ((64, tasks), (2, 2), (None, 1)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        got = wick._run_parallel(comp, wick._open_task, wick._merge_counts, {}, 10**9)
-        assert sizes[-1] == expected
-        assert got == wick._sum_open(comp, 1)
-
-
 # -- Gram products by invariance -------------------------------------------------------
 
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
 def test_gram_product_matches_open_kernel(ens):
-    # the class-function reduction against the pairing walk with the
-    # weight's invariants inserted: unit weight to k=4, solved weights to k=3
+    # the Gram-block reduction against the general entry-moment routine on
+    # the blocks' slots: unit weight to k=4, solved weights to k=3
     cases = [(unit_weight(ens), k) for k in (1, 2, 3, 4)]
     cases += [(solve_weight(ens, kappa), k) for kappa in (1, 2) for k in (1, 2, 3)]
     for w, k in cases:
@@ -361,7 +388,7 @@ def test_moment_cumulant_consistency(ens):
     # full moment = sum over set partitions of products of connected parts
     for k in (2, 3, 4):
         slots, _ = gram_product_slots(ens, k)
-        full = _slots_expansion(ens, slots)
+        full = slots_moment(ens, slots)
         total = DeltaExpansion.zero()
         for blocks in set_partitions(range(1, k + 1)):
             prod = DeltaExpansion.unit()
@@ -378,7 +405,8 @@ def test_moment_cumulant_consistency(ens):
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
 def test_connected_matches_open_kernel_cumulants(ens):
-    # the same cumulants with every moment from the pairing walk
+    # the same cumulants with every moment from the general entry-moment
+    # routine on the blocks' slots
     for k in (1, 2, 3, 4):
 
         def moment_fn(sub):
@@ -387,7 +415,7 @@ def test_connected_matches_open_kernel_cumulants(ens):
             for t, v in enumerate(sorted(sub), start=1):
                 mapping[f"i{t}"] = f"i{v}"
                 mapping[f"l{t}"] = f"l{v}"
-            return _slots_expansion(ens, slots).rename(mapping)
+            return slots_moment(ens, slots).rename(mapping)
 
         want = cumulants_from_moments(tuple(range(1, k + 1)), moment_fn)
         assert connected_entry_moment(ens, k) == want, k
