@@ -13,14 +13,12 @@ from .algebra import (
     Poly,
     RatFunc,
     SingularMatrixError,
-    asymptotic_order,
     solve_linear_system,
 )
 from .combinatorics import (
     Partition,
     check_partition,
     contract_deltas,
-    enumerate_pairings,
     enumerate_partitions,
     partitions_of,
 )
@@ -63,10 +61,8 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "N", "Poly", "RatFunc", "PoleError", "SingularMatrixError",
-    "asymptotic_order", "solve_linear_system",
-    "Partition", "check_partition", "contract_deltas", "enumerate_pairings",
-    "enumerate_partitions", "partitions_of",
+    "N", "Poly", "RatFunc", "PoleError", "SingularMatrixError", "solve_linear_system",
+    "Partition", "check_partition", "contract_deltas", "enumerate_partitions", "partitions_of",
     "DeltaExpansion", "Ensemble", "MonomialSpec", "Slot",
     "connected_entry_moment", "connected_trace_moment", "elementary_contraction",
     "gaussian_entry_moment", "gaussian_trace_moment",

@@ -334,9 +334,6 @@ class RatFunc:
             return None
         return self.den.degree - self.num.degree
 
-    def is_polynomial(self) -> bool:
-        return self.den == _ONE
-
     # -- field arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "RatFunc":
@@ -405,11 +402,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-
-def asymptotic_order(f: RatFunc) -> int | None:
-    """deg(den) - deg(num), i.e. f = Theta(N^-beta) as N -> oo; None when f == 0."""
-    return f.order()
 
 
 def _clear_row(row: Sequence[RatFunc], rhs: RatFunc) -> tuple[list[Poly], Poly]:

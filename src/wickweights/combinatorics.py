@@ -8,8 +8,8 @@ Conventions used throughout the package:
   descending parts: ``(), (1), (2), (1,1), (3), (2,1), (1,1,1), ...``.
   Gram rows, weight tables and JSON files all use this order.
 * A pairing of 2m slots is a perfect matching, yielded as m sorted index
-  pairs.  Pairings are generated lazily; at degree 16-18 there are millions
-  to tens of millions of them and they must never be materialized.
+  pairs.  The engine enumerates matchings only to build its class systems
+  and delta structures, never the Wick pairings of a moment.
 * A delta pattern is a multiset of unordered label pairs.  Labels are either
   symbolic (strings) or concrete matrix indices (ints).  Contracting the
   summed labels turns each closed all-summed component into one factor N and
@@ -71,14 +71,6 @@ def set_partitions(items: Sequence) -> Iterator[list[tuple]]:
         yield [(first,)] + sub
 
 
-def double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def perfect_matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All perfect matchings of {0..n-1}; empty for odd n.
 
@@ -101,45 +93,6 @@ def perfect_matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
                 yield ((first, partner),) + tail
 
     yield from rec(idx)
-
-
-def bipartite_matchings(left: Sequence[int], right: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All bijections pairing each left slot with a distinct right slot."""
-    if len(left) != len(right):
-        return
-
-    def rec(i: int, avail: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if i == len(left):
-            yield ()
-            return
-        for j in range(len(avail)):
-            partner = avail[j]
-            rest = avail[:j] + avail[j + 1 :]
-            for tail in rec(i + 1, rest):
-                yield ((left[i], partner),) + tail
-
-    yield from rec(0, list(right))
-
-
-def enumerate_pairings(conjugated: Sequence[bool], complex_entries: bool) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Stream the Wick pairings of slots described by their conjugation flags.
-
-    Real entries (complex_entries=False) pair freely: (2m-1)!! matchings.
-    Complex entries pair an unconjugated slot with a conjugated one: m!
-    matchings, or an empty stream when the counts differ (the holomorphic
-    moment vanishes).
-    """
-    n = len(conjugated)
-    if n % 2:
-        return
-    if not complex_entries:
-        if any(conjugated):
-            raise ValueError("conjugation flags are not allowed for real entries")
-        yield from perfect_matchings(n)
-        return
-    left = [i for i in range(n) if not conjugated[i]]
-    right = [i for i in range(n) if conjugated[i]]
-    yield from bipartite_matchings(left, right)
 
 
 # -- delta contraction ---------------------------------------------------------------
@@ -208,14 +161,3 @@ def contract_deltas(
             blocks.append((tuple(frees), anchor))
     blocks.sort(key=lambda b: tuple(_label_sort_key(x) for x in b[0]) + ((),))
     return tuple(blocks), power
-
-
-def structure_to_delta_pairs(structure: DeltaStructure) -> list[tuple[str, str]]:
-    """Flatten an equality structure into a chain of two-index deltas."""
-    pairs: list[tuple[str, str]] = []
-    for labels, anchor in structure:
-        base = str(anchor) if anchor is not None else labels[0]
-        rest = labels if anchor is not None else labels[1:]
-        for lab in rest:
-            pairs.append((base, lab))
-    return pairs

@@ -48,16 +48,6 @@ def integrate_gram_product(weight: WeightFunction, k: int) -> DeltaExpansion:
     return gram_product_moment(weight.ensemble, weight.coefficients, k)
 
 
-def weighted_trace_average(weight: WeightFunction, k: int) -> RatFunc:
-    """<w * tr((M M+)^k)>_g, assembled from closed trace moments."""
-    out = RatFunc(0)
-    for partition, coeff in weight.coefficients.items():
-        if not coeff:
-            continue
-        out = out + coeff * gaussian_trace_moment(weight.ensemble, [partition, (k,)])
-    return out
-
-
 def error_order(weight: WeightFunction, k: int) -> int | None:
     """Observed decay exponent of the entrywise deviation at degree 2k > 2*kappa.
 

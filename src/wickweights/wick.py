@@ -89,7 +89,7 @@ class Slot(NamedTuple):
     conj: bool = False
 
 
-_SLOT_RE = re.compile(r"(Mc?)\[\s*([A-Za-z_]\w*|\d+)\s*,\s*([A-Za-z_]\w*|\d+)\s*\]\Z")
+_SLOT_RE = re.compile(r"(Mc?)\[([A-Za-z_]\w*|\d+),([A-Za-z_]\w*|\d+)\]\Z")
 
 
 def _parse_index(tok: str):
@@ -401,22 +401,6 @@ def _loop_lengths(mate: Sequence[int], other: Sequence[int] | None = None) -> Pa
     return tuple(sorted(parts, reverse=True))
 
 
-def _class_matrix(counts: list, phi: list[dict[int, int]]) -> list[list[RatFunc]]:
-    """A[lam][mu] = sum_nu counts[lam][mu][nu] phi_nu, each phi_nu an integer
-    polynomial in N given as power -> coefficient."""
-    matrix = []
-    for row in counts:
-        entries = []
-        for cell in row:
-            powers: dict[int, int] = {}
-            for nu, n in cell.items():
-                for p, x in phi[nu].items():
-                    powers[p] = powers.get(p, 0) + n * x
-            entries.append(_ratfunc_from_powers(powers))
-        matrix.append(entries)
-    return matrix
-
-
 #: (orthogonal, k) -> (the partitions of k, [(pairs, class index)] for every structure)
 _structures_memo: dict[tuple[bool, int], tuple] = {}
 
@@ -444,30 +428,36 @@ def _mate(pairs: Sequence[tuple[int, int]]) -> list[int]:
     return mate
 
 
-#: (orthogonal, k) -> (counts, A), where counts[lam][mu] maps nu to the number
-#: of structures of class mu whose loops with rho_lam have type nu, and
-#: A[lam][mu] = sum over pi of class mu of N^(loops of pi and rho_lam); no weight enters
-_gram_basis_memo: dict[tuple[bool, int], tuple] = {}
+#: (orthogonal, k) -> table[lam][mu], mapping a number of loops to the number
+#: of structures pi of class mu that close that many loops with rho_lam
+_loop_table_memo: dict[tuple[bool, int], list[list[dict[int, int]]]] = {}
+#: (orthogonal, k, shift) -> A at N + shift, built from the loop table; no weight enters
+_gram_basis_memo: dict[tuple[bool, int, int], list[list[RatFunc]]] = {}
 
 
-def _gram_basis(orthogonal: bool, k: int) -> tuple[list, list[list[RatFunc]]]:
-    hit = _gram_basis_memo.get((orthogonal, k))
+def _gram_basis(orthogonal: bool, k: int, shift: int = 0) -> list[list[RatFunc]]:
+    """A[lam][mu] = sum over pi of class mu of (N + shift)^(loops of pi and rho_lam)."""
+    hit = _gram_basis_memo.get((orthogonal, k, shift))
     if hit is not None:
         return hit
-    classes, classed = _structures(orthogonal, k)
-    index = {lam: c for c, lam in enumerate(classes)}
-    mates = [(_mate(pairs), mu) for pairs, mu in classed]
-    reps = {}
-    for mate, mu in mates:
-        reps.setdefault(mu, mate)
-    counts = [[{} for _ in classes] for _ in classes]
-    for lam, row in enumerate(counts):
+    table = _loop_table_memo.get((orthogonal, k))
+    if table is None:
+        classes, classed = _structures(orthogonal, k)
+        mates = [(_mate(pairs), mu) for pairs, mu in classed]
+        reps = {}
         for mate, mu in mates:
-            nu = index[_loop_lengths(mate, reps[lam])]
-            row[mu][nu] = row[mu].get(nu, 0) + 1
-    matrix = _class_matrix(counts, [{len(nu): 1} for nu in classes])
-    _gram_basis_memo[orthogonal, k] = counts, matrix
-    return counts, matrix
+            reps.setdefault(mu, mate)
+        table = [[{} for _ in classes] for _ in classes]
+        for lam, row in enumerate(table):
+            for mate, mu in mates:
+                loops = len(_loop_lengths(mate, reps[lam]))
+                row[mu][loops] = row[mu].get(loops, 0) + 1
+        _loop_table_memo[orthogonal, k] = table
+    base = Poly((shift, 1))
+    matrix = [[RatFunc(sum((n * base ** loops for loops, n in cell.items()), Poly())) for cell in row]
+              for row in table]
+    _gram_basis_memo[orthogonal, k, shift] = matrix
+    return matrix
 
 
 def _class_targets(
@@ -496,7 +486,7 @@ def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFun
     A_(lam,mu) = sum over pi of class mu of N^(loops of pi and rho_lam).
     """
     classes, pairings = _structures(ensemble is Ensemble.ORTHOGONAL, k)
-    _, matrix = _gram_basis(ensemble is Ensemble.ORTHOGONAL, k)
+    matrix = _gram_basis(ensemble is Ensemble.ORTHOGONAL, k)
     coeffs = solve_linear_system(matrix, _class_targets(ensemble, coefficients, classes))
     names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
     out = {}
@@ -504,50 +494,6 @@ def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFun
         structure, _ = contract_deltas([(names[a], names[b]) for a, b in pairs], ())
         out[structure] = coeffs[c]
     return DeltaExpansion(out)
-
-
-def _cycle_count(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    n = 0
-    for x in range(len(perm)):
-        if not seen[x]:
-            n += 1
-            while not seen[x]:
-                seen[x] = True
-                x = perm[x]
-    return n
-
-
-#: m -> the COE class matrix of _coe_matrix
-_coe_matrix_memo: dict[int, list[list[RatFunc]]] = {}
-
-
-def _coe_matrix(m: int) -> list[list[RatFunc]]:
-    """Class matrix of the COE: the matching counts of _gram_basis(True, m)
-    with phi_nu = sum over the hyperoctahedral group B_m of N^cyc(z_nu b) in
-    place of N^loops.  Here z_nu carries the pairs of a matching of class nu
-    onto the base pairs (2v, 2v+1), and b runs over the permutations that
-    map base pairs to base pairs."""
-    hit = _coe_matrix_memo.get(m)
-    if hit is not None:
-        return hit
-    classes, pairings = _structures(True, m)
-    reps: dict[int, tuple] = {}
-    for pairs, c in pairings:
-        reps.setdefault(c, pairs)
-    phi = []
-    for c in range(len(classes)):
-        z = [0] * (2 * m)
-        for v, (a, b) in enumerate(reps[c]):
-            z[a], z[b] = 2 * v, 2 * v + 1
-        powers: dict[int, int] = {}
-        for tau in itertools.permutations(range(m)):
-            for flips in itertools.product((0, 1), repeat=m):
-                n = _cycle_count([z[2 * tau[v] + (e ^ flips[v])] for v in range(m) for e in (0, 1)])
-                powers[n] = powers.get(n, 0) + 1
-        phi.append(powers)
-    matrix = _coe_matrix_memo[m] = _class_matrix(_gram_basis(True, m)[0], phi)
-    return matrix
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -621,13 +567,16 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
     unitary), or every plain index end to a conjugated one (COE), and the
     class is the partition of m given by the half-lengths of the loops pi
     closes with the entries.  Contracting with one structure per class lam
-    gives T_lam = sum_p a_p <I_p p_lam(W)>_g.  For the orthogonal and
-    unitary ensembles the row and column contractions each act as the class
-    matrix A, which commutes with c (the class functions form a commutative
-    algebra), so T = A A c and two solves give c.  For the COE one solve
-    with _coe_matrix does.  Without invariants in the weight c is known:
-    a_0 / d^m on the Wick pairings, the class 1^m, and 0 elsewhere.  Summed
-    (tuple) labels are contracted, each closed loop of them a factor N.
+    gives T_lam = sum_p a_p <I_p p_lam(W)>_g = (A B c)_lam, with A the class
+    matrix of _gram_basis at N.  For the orthogonal and unitary ensembles
+    the row and column contractions each act as A, so B = A.  For the COE,
+    B is the same matrix at N+1: in the zonal basis of (S_2m, B_m) the
+    COE matrix has eigenvalues Z(N) Z(N+1) where A has Z(N) (Matsumoto,
+    2011).  These matrices commute with each other and with c (the class
+    functions form a commutative algebra), so c = B^-1 (A^-1 T), two
+    solves.  Without invariants in the weight c is known: a_0 / d^m on the
+    Wick pairings, the class 1^m, and 0 elsewhere.  Summed (tuple) labels
+    are contracted, each closed loop of them a factor N.
     """
     if not ensemble.complex_entries and any(s.conj for s in slots):
         raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
@@ -649,11 +598,10 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
         # the plain Gaussian moment: only the Wick pairings, of class 1^m, remain
         wick = coefficients.get((), RatFunc(0)) * RatFunc(1, ensemble.pair_denominator ** m)
         coeffs = [wick if lam == (1,) * m else RatFunc(0) for lam in classes]
-    elif ensemble is Ensemble.COE:
-        coeffs = solve_linear_system(_coe_matrix(m), _class_targets(ensemble, coefficients, classes))
     else:
-        matrix = _gram_basis(orthogonal, m)[1]
-        coeffs = solve_linear_system(matrix, solve_linear_system(matrix, _class_targets(ensemble, coefficients, classes)))
+        shift = 1 if ensemble is Ensemble.COE else 0
+        coeffs = solve_linear_system(_gram_basis(orthogonal, m), _class_targets(ensemble, coefficients, classes))
+        coeffs = solve_linear_system(_gram_basis(orthogonal, m, shift), coeffs)
     labels = list(dict.fromkeys(lab for s in placed for lab in (s.row, s.col)))
     ids = {lab: i for i, lab in enumerate(labels)}
     structures = _coe_structures if ensemble is Ensemble.COE else _paired_structures

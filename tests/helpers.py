@@ -14,16 +14,84 @@ foundations:
   E[|z|^(2p)] = p! for a complex one.  Entry variances: 1/N (orthogonal,
   unitary), (1 + delta_ij)/(N+1) for the symmetric COE matrices (S_ij and
   S_ji are the same variable, so buckets key on the unordered pair).
+
+* reference_coe_matrix: the class matrix of COE entry moments as a sum of
+  N^cycles over the hyperoctahedral group, for each pair of classes.  The
+  engine instead multiplies two orthogonal class matrices, at N and N+1.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterator, Sequence
 
-from wickweights import DeltaExpansion, Ensemble, Partition, Slot, enumerate_pairings
+from wickweights import DeltaExpansion, Ensemble, Partition, Slot
 from wickweights.algebra import Poly, RatFunc
-from wickweights.combinatorics import contract_deltas
+from wickweights.combinatorics import DeltaStructure, contract_deltas, partitions_of, perfect_matchings
+from wickweights.weights import WeightFunction
+from wickweights.wick import gaussian_trace_moment
+
+
+# -- pairings and delta patterns ---------------------------------------------------------
+
+
+def double_factorial(n: int) -> int:
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
+def bipartite_matchings(left: Sequence[int], right: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All bijections pairing each left slot with a distinct right slot."""
+    if len(left) != len(right):
+        return
+
+    def rec(i: int, avail: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+        if i == len(left):
+            yield ()
+            return
+        for j in range(len(avail)):
+            partner = avail[j]
+            rest = avail[:j] + avail[j + 1 :]
+            for tail in rec(i + 1, rest):
+                yield ((left[i], partner),) + tail
+
+    yield from rec(0, list(right))
+
+
+def enumerate_pairings(conjugated: Sequence[bool], complex_entries: bool) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Stream the Wick pairings of slots described by their conjugation flags.
+
+    Real entries (complex_entries=False) pair freely: (2m-1)!! matchings.
+    Complex entries pair an unconjugated slot with a conjugated one: m!
+    matchings, or an empty stream when the counts differ (the holomorphic
+    moment vanishes).
+    """
+    n = len(conjugated)
+    if n % 2:
+        return
+    if not complex_entries:
+        if any(conjugated):
+            raise ValueError("conjugation flags are not allowed for real entries")
+        yield from perfect_matchings(n)
+        return
+    left = [i for i in range(n) if not conjugated[i]]
+    right = [i for i in range(n) if conjugated[i]]
+    yield from bipartite_matchings(left, right)
+
+
+def structure_to_delta_pairs(structure: DeltaStructure) -> list[tuple[str, str]]:
+    """Flatten an equality structure into a chain of two-index deltas."""
+    pairs: list[tuple[str, str]] = []
+    for labels, anchor in structure:
+        base = str(anchor) if anchor is not None else labels[0]
+        rest = labels if anchor is not None else labels[1:]
+        for lab in rest:
+            pairs.append((base, lab))
+    return pairs
 
 
 # -- wirings of invariants and Gram blocks into slots ----------------------------------
@@ -117,14 +185,6 @@ def reference_expansion(ensemble: Ensemble, slots) -> DeltaExpansion:
     return total
 
 
-def _double_fact(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def _fact(n: int) -> int:
     out = 1
     for i in range(2, n + 1):
@@ -143,7 +203,7 @@ def oracle_concrete_moment(ensemble: Ensemble, slots, n: int) -> Fraction:
         for p in buckets.values():
             if p % 2:
                 return Fraction(0)
-            total *= Fraction(_double_fact(p - 1), n ** (p // 2))
+            total *= Fraction(double_factorial(p - 1), n ** (p // 2))
         return total
     symmetric = ensemble is Ensemble.COE
     counts: dict = {}
@@ -199,8 +259,90 @@ def circle_cos_sin_moment(p: int, q: int) -> Fraction:
     """(1/2pi) * integral of cos^p sin^q over the circle (p, q >= 0)."""
     if p % 2 or q % 2:
         return Fraction(0)
-    return Fraction(_double_fact(p - 1) * _double_fact(q - 1), _double_fact(p + q))
+    return Fraction(double_factorial(p - 1) * double_factorial(q - 1), double_factorial(p + q))
 
 
 def ratfunc_from(num: Poly | int, den: Poly | int = 1) -> RatFunc:
     return RatFunc(num, den)
+
+
+def weighted_trace_average(weight: WeightFunction, k: int) -> RatFunc:
+    """<w * tr((M M+)^k)>_g, assembled from closed trace moments."""
+    out = RatFunc(0)
+    for partition, coeff in weight.coefficients.items():
+        if coeff:
+            out = out + coeff * gaussian_trace_moment(weight.ensemble, [partition, (k,)])
+    return out
+
+
+# -- the COE class matrix by brute force ---------------------------------------------------
+
+
+def _loop_type(mate: Sequence[int], other: Sequence[int]) -> Partition:
+    """Half-lengths of the cycles that two perfect matchings (partner lists) close."""
+    seen = [False] * len(mate)
+    parts = []
+    for start in range(len(mate)):
+        n, x = 0, start
+        while not seen[x]:
+            seen[x] = seen[other[x]] = True
+            n += 1
+            x = mate[other[x]]
+        if n:
+            parts.append(n)
+    return tuple(sorted(parts, reverse=True))
+
+
+def _cycle_count(perm: Sequence[int]) -> int:
+    seen = [False] * len(perm)
+    n = 0
+    for x in range(len(perm)):
+        if not seen[x]:
+            n += 1
+            while not seen[x]:
+                seen[x] = True
+                x = perm[x]
+    return n
+
+
+def reference_coe_matrix(m: int) -> list[list[RatFunc]]:
+    """The COE class matrix of entry moments of degree 2m, by a sum over B_m.
+
+    Entry [lam][mu] sums phi_nu over the perfect matchings pi of the 2m
+    plain index ends of class mu (their loop type with the base pairs
+    (2v, 2v+1)), where nu is the loop type of pi with a fixed matching of
+    class lam, and phi_nu = sum over the hyperoctahedral group B_m of
+    N^cyc(z_nu b).  Here z_nu carries the pairs of a matching of class nu
+    onto the base pairs and b runs over the permutations that map base
+    pairs to base pairs.  Classes are in the order of partitions_of(m).
+    """
+    base = [x ^ 1 for x in range(2 * m)]
+    mates = []
+    for pairs in perfect_matchings(2 * m):
+        mate = [0] * (2 * m)
+        for a, b in pairs:
+            mate[a], mate[b] = b, a
+        mates.append((pairs, mate))
+    reps = {}
+    for pairs, mate in mates:
+        reps.setdefault(_loop_type(mate, base), (pairs, mate))
+    phi = {}
+    for nu, (pairs, _) in reps.items():
+        z = [0] * (2 * m)
+        for v, (a, b) in enumerate(pairs):
+            z[a], z[b] = 2 * v, 2 * v + 1
+        powers = [0] * (2 * m + 1)
+        for tau in itertools.permutations(range(m)):
+            for flips in itertools.product((0, 1), repeat=m):
+                powers[_cycle_count([z[2 * tau[v] + (e ^ flips[v])] for v in range(m) for e in (0, 1)])] += 1
+        phi[nu] = Poly(powers)
+    classes = list(partitions_of(m))
+    matrix = []
+    for lam in classes:
+        rho = reps[lam][1]
+        row = [Poly() for _ in classes]
+        for _, mate in mates:
+            mu = classes.index(_loop_type(mate, base))
+            row[mu] = row[mu] + phi[_loop_type(mate, rho)]
+        matrix.append([RatFunc(p) for p in row])
+    return matrix

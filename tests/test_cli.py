@@ -198,6 +198,7 @@ def test_import_without_numpy():
     code = (
         "import sys, wickweights.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy imported at start-up'\n"
+        "assert 'logging' not in sys.modules, 'logging imported at start-up'\n"
         "from wickweights import mc_integrate\n"
         "assert 'numpy' in sys.modules and callable(mc_integrate)\n"
     )

@@ -2,12 +2,10 @@ import random
 
 import pytest
 
+from helpers import bipartite_matchings, double_factorial, enumerate_pairings
 from wickweights.combinatorics import (
-    bipartite_matchings,
     check_partition,
     contract_deltas,
-    double_factorial,
-    enumerate_pairings,
     enumerate_partitions,
     partitions_of,
     perfect_matchings,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import evaluate_expansion
+from helpers import evaluate_expansion, structure_to_delta_pairs, weighted_trace_average
 from wickweights import DeltaExpansion, Ensemble, MonomialSpec
 from wickweights.algebra import N, RatFunc
 from wickweights.integrate import (
@@ -14,7 +14,6 @@ from wickweights.integrate import (
     integrate_monomial,
     weighted_connected_moment,
     weighted_connected_order,
-    weighted_trace_average,
 )
 from wickweights.weights import solve_weight, unit_weight, verify_conditions
 from wickweights.wick import gaussian_trace_moment
@@ -130,7 +129,7 @@ def test_weighted_connected_first_vanishes(w2):
 def test_trace_consistency(w2):
     # contracting the entrywise expansion over l_v = i_v (all summed) must
     # reproduce the weighted trace average computed from trace moments
-    from wickweights.combinatorics import contract_deltas, structure_to_delta_pairs
+    from wickweights.combinatorics import contract_deltas
 
     k = 2
     exp = integrate_gram_product(w2, k)
@@ -179,6 +178,7 @@ def test_gram_product_fixture_recomputed(monkeypatch):
     from wickweights import wick
 
     monkeypatch.setattr(wick, "_trace_memo", {})
+    monkeypatch.setattr(wick, "_loop_table_memo", {})
     monkeypatch.setattr(wick, "_gram_basis_memo", {})
     entries = json.loads(GRAM_FIXTURE.read_text())
     assert len(entries) == 41

@@ -13,6 +13,7 @@ from helpers import (
     invariant_slots,
     oracle_concrete_moment,
     oracle_trace_moment,
+    reference_coe_matrix,
     reference_expansion,
 )
 from wickweights import (
@@ -197,7 +198,7 @@ def test_entry_moment_fixture_recomputed(monkeypatch):
     # and orthogonal kappa=4 M[1,1]^8
     from wickweights import wick
 
-    for memo in ("_trace_memo", "_structures_memo", "_gram_basis_memo", "_coe_matrix_memo"):
+    for memo in ("_trace_memo", "_structures_memo", "_loop_table_memo", "_gram_basis_memo"):
         monkeypatch.setattr(wick, memo, {})
     entries = json.loads(ENTRY_FIXTURE.read_text())
     assert len(entries) == 336
@@ -208,6 +209,25 @@ def test_entry_moment_fixture_recomputed(monkeypatch):
             weights[ens, kappa] = solve_weight(ens, kappa, use_disk=False) if kappa else unit_weight(ens)
         got = integrate_monomial(weights[ens, kappa], MonomialSpec.parse(e["monomial"]))
         assert got == DeltaExpansion.from_json(e["expansion"]), (e["ensemble"], kappa, e["monomial"])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_coe_class_matrix_is_orthogonal_product(m):
+    # the COE class system of entry moments is A(N) A(N+1), A the orthogonal one
+    from wickweights.wick import _gram_basis
+
+    a, b = _gram_basis(True, m), _gram_basis(True, m, 1)
+    size = range(len(a))
+    want = reference_coe_matrix(m)
+    assert [[sum((a[i][k] * b[k][j] for k in size), RatFunc(0)) for j in size] for i in size] == want
+    assert [[sum((b[i][k] * a[k][j] for k in size), RatFunc(0)) for j in size] for i in size] == want
+
+
+def test_coe_degree_12_literal():
+    # COE kappa=2 (M[1,1] Mc[1,1])^6, as the hyperoctahedral class matrix gave it
+    w = solve_weight(Ensemble.COE, 2, use_disk=False)
+    got = integrate_monomial(w, MonomialSpec.parse(" ".join(["M[1,1] Mc[1,1]"] * 6)))
+    assert got.as_ratfunc() == RatFunc(46080 * (N - 27), (N + 1) ** 6 * (N + 3))
 
 
 def test_expansion_with_free_labels_matches_oracle():
