@@ -63,8 +63,8 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
 def _warn_cost(kappa: int) -> None:
     if kappa > _COST_WARNING_KAPPA:
         print(
-            f"warning: kappa={kappa} needs an exact solve of a Gram system with entries "
-            f"of total degree {4 * kappa}; expect it to take long",
+            f"warning: kappa={kappa} may take long: verify enumerates every index structure "
+            f"of degree {2 * kappa + 2} for its class systems",
             file=sys.stderr,
         )
 

@@ -10,8 +10,8 @@ invariants, which is positive definite, so the solution exists and is
 unique.
 
 Solved weights are cached on disk keyed by (ensemble, kappa); a fresh solve
-always re-checks the defining conditions symbolically before the weight is
-returned or stored.
+has passed the exact solver's own check of the defining conditions before
+the weight is returned or stored.
 """
 
 from __future__ import annotations
@@ -118,9 +118,10 @@ def _cache_name(ensemble: Ensemble, kappa: int) -> str:
 def solve_weight(ensemble: Ensemble, kappa: int, use_disk: bool = True) -> WeightFunction:
     """Build and solve the defining system for w_kappa.
 
-    A fresh solve verifies the residual of the defining conditions is
-    identically zero before returning.  Solved tables are stored on disk
-    and read back on later calls.
+    A fresh solve satisfies the defining conditions exactly:
+    solve_linear_system returns no solution that has not passed its own
+    exact check A x == b.  Solved tables are stored on disk and read back
+    on later calls.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -130,12 +131,6 @@ def solve_weight(ensemble: Ensemble, kappa: int, use_disk: bool = True) -> Weigh
             return WeightFunction.from_json(obj)
     system = build_gram_system(ensemble, kappa)
     solution = solve_linear_system(system.matrix, system.rhs)
-    for row, b in zip(system.matrix, system.rhs):
-        acc = RatFunc(0)
-        for entry, x in zip(row, solution):
-            acc = acc + entry * x
-        if acc != b:
-            raise AssertionError("weight solution does not satisfy its defining conditions")
     weight = WeightFunction(ensemble, kappa, dict(zip(system.partitions, solution)))
     if use_disk:
         cache.store_json(_cache_name(ensemble, kappa), weight.to_json())

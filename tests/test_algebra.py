@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wickweights import algebra
 from wickweights.algebra import (
     N,
     PoleError,
@@ -155,6 +156,100 @@ def test_solve_singular():
     mat = [[RatFunc(1), RatFunc(1)], [RatFunc(2), RatFunc(2)]]
     with pytest.raises(SingularMatrixError):
         solve_linear_system(mat, [RatFunc(1), RatFunc(1)])
+
+
+def test_solve_determinant_divisible_by_the_first_prime():
+    # singular mod 2^61 - 1 at every point, so the solve moves on to other primes
+    p = 2**61 - 1
+    assert solve_linear_system([[RatFunc(p)]], [RatFunc(1)]) == [RatFunc(1, p)]
+
+
+def test_solve_large_coefficient_needs_crt(monkeypatch):
+    # 2^71 + 1 does not lift from one 61-bit prime: at least three are joined
+    joins = []
+    crt = algebra._crt
+    monkeypatch.setattr(algebra, "_crt", lambda *args: joins.append(1) or crt(*args))
+    big = 2**71 + 1
+    x = [RatFunc(big * N - 1, N + 3), RatFunc(N, 2 * N + 1)]
+    mat = [[RatFunc(1), RatFunc(N)], [RatFunc(N + 1), RatFunc(-1)]]
+    rhs = [x[0] + x[1] * N, x[0] * (N + 1) - x[1]]
+    assert solve_linear_system(mat, rhs) == x
+    assert len(joins) >= 2
+
+
+def test_solve_singular_depending_on_n():
+    with pytest.raises(SingularMatrixError):
+        solve_linear_system([[RatFunc(N), RatFunc(N * N)], [RatFunc(1), RatFunc(N)]],
+                            [RatFunc(1), RatFunc(0)])
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def test_solve_unitary_class_system_cramer():
+    # the denominator N (N^2 - 1)(N^2 - 4) vanishes at small integers; a solve
+    # at consecutive integer points can accept a wrong degree-5 candidate here
+    from wickweights.wick import _gram_basis
+
+    mat = _gram_basis(False, 3)
+    rhs = [RatFunc(1), RatFunc(2), RatFunc(3)]
+    det = _det3(mat)
+    cramer = [_det3([row[:j] + [b] + row[j + 1:] for row, b in zip(mat, rhs)]) / det for j in range(3)]
+    assert solve_linear_system(mat, rhs) == cramer
+
+
+def _cramer_2x2_case():
+    a, b, c, d = RatFunc(N), RatFunc(1, N + 2), RatFunc(N * N - 3), RatFunc(5)
+    r1, r2 = RatFunc(N + 7, N), RatFunc(2)
+    det = a * d - b * c
+    return [[a, b], [c, d]], [r1, r2], [(r1 * d - b * r2) / det, (a * r2 - r1 * c) / det]
+
+
+def test_solve_survives_a_wrong_interpolant(monkeypatch):
+    # a wrong rational function mod p misses the solve at the next point
+    mat, rhs, expect = _cramer_2x2_case()
+    calls = []
+    mqrr = algebra._mqrr
+
+    def wrong_once(m, u, p):
+        calls.append(1)
+        return ([1], [1]) if len(calls) == 1 else mqrr(m, u, p)
+
+    monkeypatch.setattr(algebra, "_mqrr", wrong_once)
+    assert solve_linear_system(mat, rhs) == expect
+
+
+@pytest.mark.parametrize("wrong_lifts", [1, 2])
+def test_solve_survives_a_wrong_lift(monkeypatch, wrong_lifts):
+    # one wrong lift disagrees with the next; two equal wrong lifts are
+    # rejected by the exact check A x == b, and the solve starts over
+    mat, rhs, expect = _cramer_2x2_case()
+    lifts, checks = [], []
+    lift, satisfies = algebra._lift, algebra._satisfies
+
+    def wrong_lift(residues, modulus):
+        out = lift(residues, modulus)
+        lifts.append(out)
+        if len(lifts) <= wrong_lifts and out is not None:
+            (num, den), *rest = out
+            out = [((num[0] + 1,) + num[1:], den)] + rest
+        return out
+
+    monkeypatch.setattr(algebra, "_lift", wrong_lift)
+    monkeypatch.setattr(algebra, "_satisfies", lambda *a: checks.append(satisfies(*a)) or checks[-1])
+    assert solve_linear_system(mat, rhs) == expect
+    assert checks == ([False, True] if wrong_lifts == 2 else [True])
+
+
+def test_primes():
+    small = [n for n in range(2000) if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(2000) if algebra._is_prime(n)] == small
+    assert algebra._prime(0) == 2**61 - 1
+    assert algebra._prime(0) > algebra._prime(1) > algebra._prime(2)
+    assert all(algebra._is_prime(algebra._prime(i)) for i in range(3))
 
 
 def test_asymptotic_order_examples():

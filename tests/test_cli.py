@@ -53,7 +53,7 @@ def test_unknown_ensemble_usage_error(capsys):
 
 def test_cost_warning_above_five(capsys):
     # the warning is printed before the monomial is parsed, so a bad
-    # monomial shows it without any solve; kappa=5 solves in seconds
+    # monomial shows it without any solve; cold verify at kappa=5 takes seconds
     code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "6",
                        "--monomial", "M[1,1")
     assert code == 2

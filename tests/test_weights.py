@@ -120,20 +120,32 @@ def test_weight_json_roundtrip():
     assert back == w
 
 
-WEIGHT_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "weights.json"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
-def test_weight_fixture_recomputed(monkeypatch):
-    # the 11 tables of the former pairing-sum engine, solved from nothing
+def _recompute_weight_fixture(monkeypatch, name: str) -> list[tuple[str, int]]:
+    """Solve every table of tests/data/<name> from nothing and compare with ==."""
     from wickweights import wick
 
     monkeypatch.setattr(wick, "_trace_memo", {})
-    entries = json.loads(WEIGHT_FIXTURE.read_text())
-    assert len(entries) == 11
+    entries = json.loads((DATA / name).read_text())
     for e in entries:
         want = WeightFunction.from_json(e)
         got = solve_weight(want.ensemble, want.kappa, use_disk=False)
         assert got.coefficients == want.coefficients, (want.ensemble.value, want.kappa)
+    return [(e["ensemble"], e["kappa"]) for e in entries]
+
+
+def test_weight_fixture_recomputed(monkeypatch):
+    # the 11 tables of the former pairing-sum engine
+    assert len(_recompute_weight_fixture(monkeypatch, "weights.json")) == 11
+
+
+def test_weight_k5_k6_fixture_recomputed(monkeypatch):
+    # the kappa = 5 and 6 tables of the former fraction-free elimination
+    assert _recompute_weight_fixture(monkeypatch, "weights_k5_k6.json") == [
+        (ens.value, kappa) for kappa in (5, 6) for ens in ENSEMBLES
+    ]
 
 
 def test_weight_disk_cache(tmp_path, monkeypatch):
