@@ -11,9 +11,15 @@ cross-check the symbolic results at concrete dimensions:
 * coe: S = U^T U with U Haar unitary, the standard construction of
   symmetric unitary matrices with the invariant measure.
 
-Sampling is vectorized over stacked matrices in fixed-size batches, so a
-million 8x8 samples take seconds, and is reproducible for a fixed
-(seed, samples, dimension).
+A monomial is averaged from only the columns it reads: the QR of an n x c
+Gaussian block, with the same sign or phase fix, gives the first c columns
+of a Haar matrix (Stewart 1980; Mezzadri 2007), where c is the largest
+column index (for the COE, the largest index of either kind, since
+S_ij = sum_k U_ki U_kj reads columns i and j of U).  Sampling is
+vectorized over stacked blocks in batches of a fixed number of entries,
+so memory stays bounded at any dimension; a million samples at n = 8
+take 0.5-3 s for monomials in columns 1 and 2.  Results are
+reproducible for a fixed (seed, samples, dimension, monomial).
 """
 
 from __future__ import annotations
@@ -27,31 +33,29 @@ import numpy as np
 from .algebra import RatFunc
 from .wick import Ensemble, MonomialSpec
 
-_BATCH = 20_000
+# Gaussian entries drawn per batch, 20 000 full samples at n = 8; sizing by
+# entries keeps memory flat in n
+_BATCH_ENTRIES = 20_000 * 64
 
 
-def _haar_orthogonal_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    g = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(g)
-    d = np.einsum("...ii->...i", r)
-    q *= np.sign(d)[:, None, :]
-    return q
+def _sample_batch(ensemble: Ensemble, rng: np.random.Generator, count: int, n: int, c: int) -> np.ndarray:
+    """count draws at dimension n, cut to what indices <= c read.
 
-def _haar_unitary_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    g = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) / math.sqrt(2.0)
+    Orthogonal and unitary: the first c columns of Haar matrices, shape
+    (count, n, c), from the sign- (phase-) fixed QR of an n x c Gaussian
+    block.  COE: the leading c x c block of S = U^T U, which reads only
+    columns 1..c of U.
+    """
+    shape = (count, n, c)
+    g = rng.standard_normal(shape)
+    if ensemble.complex_entries:
+        g = (g + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     q, r = np.linalg.qr(g)
     d = np.einsum("...ii->...i", r)
     q *= (d / np.abs(d))[:, None, :]
+    if ensemble is Ensemble.COE:
+        return np.swapaxes(q, 1, 2) @ q
     return q
-
-
-def _sample_batch(ensemble: Ensemble, rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    if ensemble is Ensemble.ORTHOGONAL:
-        return _haar_orthogonal_batch(rng, count, n)
-    if ensemble is Ensemble.UNITARY:
-        return _haar_unitary_batch(rng, count, n)
-    u = _haar_unitary_batch(rng, count, n)
-    return np.swapaxes(u, 1, 2) @ u
 
 
 def sample_haar(ensemble: Ensemble, n: int, seed: int) -> np.ndarray:
@@ -59,7 +63,7 @@ def sample_haar(ensemble: Ensemble, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    return _sample_batch(ensemble, rng, 1, n)[0]
+    return _sample_batch(ensemble, rng, 1, n, n)[0]
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,10 @@ def mc_integrate(
 ) -> McEstimate:
     """Unbiased Monte Carlo mean of a concrete-index monomial.
 
-    For the complex ensembles the real part is averaged (the checked exact
-    values are real by invariance); the mean imaginary part is kept as a
-    sanity statistic.
+    Each sample draws only columns 1..c, c the largest index the monomial
+    reads (see the module docstring).  For the complex ensembles the real
+    part is averaged (the checked exact values are real by invariance); the
+    mean imaginary part is kept as a sanity statistic.
     """
     monomial.validate(ensemble)
     if not monomial.is_concrete():
@@ -105,14 +110,19 @@ def mc_integrate(
     for s in monomial.slots:
         if not (1 <= s.row <= n and 1 <= s.col <= n):
             raise ValueError(f"index out of range for dimension {n}: {s}")
+    if ensemble is Ensemble.COE:
+        c = max(max(s.row, s.col) for s in monomial.slots)
+    else:
+        c = max(s.col for s in monomial.slots)
+    batch = max(1, _BATCH_ENTRIES // (n * c))
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     total_im = 0.0
     done = 0
     while done < samples:
-        count = min(_BATCH, samples - done)
-        mats = _sample_batch(ensemble, rng, count, n)
+        count = min(batch, samples - done)
+        mats = _sample_batch(ensemble, rng, count, n, c)
         vals = np.ones(count, dtype=complex if ensemble.complex_entries else float)
         for s in monomial.slots:
             entry = mats[:, s.row - 1, s.col - 1]

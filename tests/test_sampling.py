@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wickweights import Ensemble, MonomialSpec
 from wickweights.algebra import N, Poly, RatFunc
-from wickweights.sampling import cross_check, mc_integrate, sample_haar
+from wickweights.integrate import integrate_monomial
+from wickweights.sampling import _sample_batch, cross_check, mc_integrate, sample_haar
+from wickweights.weights import solve_weight
 
 INV_N = RatFunc(1, N)
 
@@ -77,6 +81,72 @@ def test_haar_invariance_smoke():
     b = mc_integrate(Ensemble.ORTHOGONAL, MonomialSpec.parse("M[2,3] M[2,3]"), 6, 200_000, seed=11)
     joint = math.hypot(a.standard_error, b.standard_error)
     assert abs(a.mean - b.mean) <= 5 * joint
+
+
+def test_mc_far_column_orthogonal():
+    # the sampler draws columns 1..7 here, not just the first one or two
+    est = mc_integrate(Ensemble.ORTHOGONAL, MonomialSpec.parse("M[2,7] M[2,7]"), 8, 100_000, seed=21)
+    assert abs(est.mean - 0.125) <= 5 * est.standard_error
+
+
+def test_mc_far_column_coe():
+    monomial = MonomialSpec.parse("M[3,6] Mc[3,6]")
+    exact = integrate_monomial(solve_weight(Ensemble.COE, 2), monomial).as_ratfunc()
+    report = cross_check(exact, Ensemble.COE, monomial, 8, 100_000, seed=22)
+    assert report.exact == Fraction(1, 9)  # <|S_ij|^2> = 1/(N+1) off the diagonal
+    assert report.passed, report.to_json()
+
+
+def test_mc_memory_bounded_at_large_dimension():
+    # batches are sized by entries, so N = 2000 holds 1.3e6 Gaussian
+    # entries at a time, not 20 000 * N * N
+    tracemalloc.start()
+    try:
+        est = mc_integrate(Ensemble.ORTHOGONAL, MonomialSpec.parse("M[1,1] M[1,1]"), 2000, 10_000, seed=23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(est.mean - 1 / 2000) <= 5 * est.standard_error
+    assert peak < 100e6
+
+
+class _FixedNormals:
+    """Stands in for a Generator: standard_normal returns the given arrays in turn."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def standard_normal(self, shape):
+        block = self.blocks.pop(0)
+        assert block.shape == shape
+        return block.copy()
+
+
+def _fixed_full_qr(a: np.ndarray) -> np.ndarray:
+    """Q of a square matrix, column j multiplied by R_jj / |R_jj|."""
+    q, r = np.linalg.qr(a)
+    for j in range(a.shape[1]):
+        q[:, j] *= r[j, j] / abs(r[j, j])
+    return q
+
+
+@pytest.mark.parametrize("ens", list(Ensemble))
+@pytest.mark.parametrize("c", [1, 3, 7])
+def test_column_sampler_matches_full_qr(ens, c):
+    n, count = 7, 4
+    rng = np.random.default_rng(31)
+    full_re, full_im = rng.standard_normal((count, n, n)), rng.standard_normal((count, n, n))
+    blocks = [full_re[:, :, :c]]
+    full = full_re
+    if ens.complex_entries:
+        blocks.append(full_im[:, :, :c])
+        full = (full_re + 1j * full_im) / math.sqrt(2.0)
+    got = _sample_batch(ens, _FixedNormals(*blocks), count, n, c)
+    for i in range(count):
+        u = _fixed_full_qr(full[i])
+        want = (u.T @ u)[:c, :c] if ens is Ensemble.COE else u[:, :c]
+        assert got[i].shape == want.shape
+        assert np.max(np.abs(got[i] - want)) < 1e-12
 
 
 def test_cross_check_passes():
