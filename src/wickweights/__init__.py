@@ -29,7 +29,6 @@ from .wick import (
     Slot,
     connected_entry_moment,
     connected_trace_moment,
-    elementary_contraction,
     gaussian_entry_moment,
     gaussian_trace_moment,
 )
@@ -64,7 +63,7 @@ __all__ = [
     "N", "Poly", "RatFunc", "PoleError", "SingularMatrixError", "solve_linear_system",
     "Partition", "check_partition", "contract_deltas", "enumerate_partitions", "partitions_of",
     "DeltaExpansion", "Ensemble", "MonomialSpec", "Slot",
-    "connected_entry_moment", "connected_trace_moment", "elementary_contraction",
+    "connected_entry_moment", "connected_trace_moment",
     "gaussian_entry_moment", "gaussian_trace_moment",
     "GramSystem", "WeightFunction", "build_gram_system", "solve_weight",
     "unit_weight", "verify_conditions",

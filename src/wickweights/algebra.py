@@ -33,7 +33,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -318,10 +318,6 @@ class RatFunc:
             return RatFunc(Poly.n_power(k, coeff))
         return RatFunc(Poly.const(coeff), Poly.n_power(-k))
 
-    @staticmethod
-    def from_fraction(q: Fraction) -> "RatFunc":
-        return RatFunc(Poly.const(q.numerator), Poly.const(q.denominator))
-
     # -- queries -----------------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -418,6 +414,15 @@ def _common_denominator(dens: Iterable[Poly]) -> Poly:
         if d != _ONE:
             common = common * d.divexact(poly_gcd(common, d))
     return common
+
+
+def linear_combination(terms: Iterable[tuple[int | Fraction, RatFunc]]) -> RatFunc:
+    """sum of q * f over the terms (q, f), over one common denominator and
+    reduced once, where a running sum would take a gcd at every step."""
+    terms = list(terms)
+    den = _common_denominator(f.den for _, f in terms)
+    scale = lcm(*(Fraction(q).denominator for q, _ in terms))
+    return RatFunc(sum((f.num * den.divexact(f.den) * int(q * scale) for q, f in terms), _ZERO), den * scale)
 
 
 def _clear_row(row: Sequence[RatFunc], rhs: RatFunc) -> tuple[list[Poly], Poly]:

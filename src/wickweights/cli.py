@@ -63,8 +63,8 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
 def _warn_cost(kappa: int) -> None:
     if kappa > _COST_WARNING_KAPPA:
         print(
-            f"warning: kappa={kappa} may take long: verify enumerates every index structure "
-            f"of degree {2 * kappa + 2} for its class systems",
+            f"warning: kappa={kappa} may take long: verify expands each condition into every "
+            f"index structure, up to degree {2 * kappa}",
             file=sys.stderr,
         )
 
@@ -154,7 +154,7 @@ def _cmd_sample(args) -> int:
     if args.samples < 10_000:
         raise ValueError("need at least 10^4 samples for a usable error estimate")
     if args.expect is not None:
-        expected = RatFunc.from_fraction(Fraction(args.expect))
+        expected = RatFunc(Fraction(args.expect))
         report = cross_check(expected, args.ensemble, monomial, args.N, args.samples, args.seed)
         json.dump(report.to_json(), sys.stdout)
         print()

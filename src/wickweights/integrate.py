@@ -9,16 +9,16 @@ assume.
 
 from __future__ import annotations
 
-from .algebra import RatFunc
+from .combinatorics import partitions_of
 from .wick import (
     DeltaExpansion,
     MonomialSpec,
-    cumulants_from_moments,
     delta_product_target,
-    gaussian_trace_moment,
+    gram_block_cumulant,
+    gram_class_coefficients,
     gram_product_moment,
 )
-from .weights import WeightFunction, unit_weight, weighted_moment
+from .weights import WeightFunction, weighted_moment
 
 
 def integrate_monomial(weight: WeightFunction, monomial: MonomialSpec) -> DeltaExpansion:
@@ -51,17 +51,22 @@ def integrate_gram_product(weight: WeightFunction, k: int) -> DeltaExpansion:
 def error_order(weight: WeightFunction, k: int) -> int | None:
     """Observed decay exponent of the entrywise deviation at degree 2k > 2*kappa.
 
-    Computes <w (M M+)_(i1,l1)...(ik,lk)> minus the exact target-space value
+    Takes <w (M M+)_(i1,l1)...(ik,lk)> minus the exact target-space value
     (the plain delta product) and returns the minimum decay exponent over
     the residual coefficients.  Returns None when the deviation vanishes
-    identically.  Tracing the blocks instead would close index loops
-    through the residual patterns and amplify them by powers of N, so the
-    trace of the deviation grows and is not the quantity bounded here.
+    identically.  The residual is read off the class coefficients c_mu of
+    the moment, without expanding it: each structure of class mu carries
+    c_mu, and the class 1^k holds exactly one structure, the target, so the
+    coefficients are c_mu - [mu = 1^k].  Tracing the blocks instead would
+    close index loops through the residual patterns and amplify them by
+    powers of N, so the trace of the deviation grows and is not the
+    quantity bounded here.
     """
     if k <= weight.kappa:
         raise ValueError("error order is measured beyond the weight's exact range")
-    diff = integrate_gram_product(weight, k) - delta_product_target(k)
-    return diff.min_order()
+    coeffs = gram_class_coefficients(weight.ensemble, weight.coefficients, k)
+    orders = [(c - 1 if mu == (1,) * k else c).order() for mu, c in zip(partitions_of(k), coeffs)]
+    return min((o for o in orders if o is not None), default=None)
 
 
 def weighted_connected_moment(weight: WeightFunction, k: int) -> DeltaExpansion:
@@ -75,38 +80,7 @@ def weighted_connected_moment(weight: WeightFunction, k: int) -> DeltaExpansion:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ensemble = weight.ensemble
-    plain_by_size: dict[int, DeltaExpansion] = {}
-    weighted_by_size: dict[int, DeltaExpansion] = {}
-
-    def canonical_moment(s: int, with_weight: bool) -> DeltaExpansion:
-        memo = weighted_by_size if with_weight else plain_by_size
-        hit = memo.get(s)
-        if hit is None:
-            if s == 0:
-                total = RatFunc(1)
-                if with_weight:
-                    total = RatFunc(0)
-                    for p, c in weight.coefficients.items():
-                        total = total + c * gaussian_trace_moment(ensemble, [p])
-                hit = DeltaExpansion.unit(total)
-            else:
-                src = weight if with_weight else unit_weight(ensemble)
-                hit = integrate_gram_product(src, s)
-            memo[s] = hit
-        return hit
-
-    def moment_fn(sub: tuple) -> DeltaExpansion:
-        blocks = sorted(x for x in sub if x != "w")
-        base = canonical_moment(len(blocks), "w" in sub)
-        mapping = {}
-        for t, v in enumerate(blocks, start=1):
-            mapping[f"i{t}"] = f"i{v}"
-            mapping[f"l{t}"] = f"l{v}"
-        return base.rename(mapping)
-
-    items = ("w",) + tuple(range(1, k + 1))
-    return cumulants_from_moments(items, moment_fn)
+    return gram_block_cumulant(weight.ensemble, k, weight.coefficients)
 
 
 def weighted_connected_order(weight: WeightFunction, k: int) -> int | None:

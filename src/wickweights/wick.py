@@ -29,10 +29,13 @@ is invariant under M -> O M O'^T, U M V and S -> U S U^T, so
 coefficients depend only on a partition of half the degree.  Contracting
 with one structure per partition leaves a small linear system over closed
 trace moments (entry_moment; gram_product_moment for products of entrywise
-(M M+) blocks).  See Collins, IMRN 2003, no. 17; Collins and Matsumoto,
-Weingarten calculus via orthogonality relations, 2017; and Matsumoto,
-Weingarten calculus for matrix ensembles associated with compact symmetric
-spaces, 2011, for the COE action.
+(M M+) blocks).  Its matrix is diagonal in the basis of Jack polynomials,
+with eigenvalues in closed form, so it is solved without being formed
+(_class_solve).  See Collins, IMRN 2003, no. 17; Collins and Matsumoto,
+Weingarten calculus via orthogonality relations, 2017; Zinn-Justin,
+Lett. Math. Phys. 91 (2010); and Matsumoto, Weingarten calculus for
+matrix ensembles associated with compact symmetric spaces, 2011, for the
+COE action.
 
 Labels in a monomial are symbolic (str, a free index), concrete (int, a
 fixed matrix index) or summed (a tuple, an internal index that is
@@ -42,12 +45,16 @@ contracted: each closed loop of summed indices is a factor N).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import Poly, RatFunc, solve_linear_system
+from .algebra import Poly, RatFunc, linear_combination
 from .combinatorics import (
     DeltaStructure,
     Partition,
@@ -70,10 +77,6 @@ class Ensemble(str, enum.Enum):
     @property
     def complex_entries(self) -> bool:
         return self is not Ensemble.ORTHOGONAL
-
-    @property
-    def two_term(self) -> bool:
-        return self is Ensemble.COE
 
     @property
     def pair_denominator(self) -> Poly:
@@ -259,40 +262,7 @@ class DeltaExpansion:
         return "DeltaExpansion(" + " + ".join(bits) + ")"
 
 
-def _ratfunc_from_powers(powers: dict[int, int]) -> RatFunc:
-    """Sum of count * N^power over entries, as one canonical rational function."""
-    powers = {p: c for p, c in powers.items() if c}
-    if not powers:
-        return RatFunc(0)
-    shift = min(0, min(powers))
-    coeffs = [0] * (max(powers) - shift + 1)
-    for p, c in powers.items():
-        coeffs[p - shift] = c
-    return RatFunc(Poly(coeffs), Poly.n_power(-shift))
-
-
 # -- public moments -----------------------------------------------------------------------
-
-
-def elementary_contraction(ensemble: Ensemble, slot_a: Slot, slot_b: Slot) -> DeltaExpansion:
-    """Second moment of a pair of entries under the ensemble's rule."""
-    for s in (slot_a, slot_b):
-        if not ensemble.complex_entries and s.conj:
-            raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
-    if ensemble.complex_entries and slot_a.conj == slot_b.conj:
-        return DeltaExpansion.zero()
-    wirings = [((slot_a.row, slot_b.row), (slot_a.col, slot_b.col))]
-    if ensemble.two_term:
-        wirings.append(((slot_a.row, slot_b.col), (slot_a.col, slot_b.row)))
-    inv = RatFunc(1, ensemble.pair_denominator)
-    out = DeltaExpansion.zero()
-    for edges in wirings:
-        res = contract_deltas(edges, ())
-        if res is None:
-            continue
-        structure, power = res
-        out = out + DeltaExpansion({structure: inv * RatFunc.n_power(power)})
-    return out
 
 
 def gaussian_entry_moment(ensemble: Ensemble, monomial: MonomialSpec) -> DeltaExpansion:
@@ -381,11 +351,10 @@ def moment_with_invariants(
 # orthogonal basis.
 
 
-def _loop_lengths(mate: Sequence[int], other: Sequence[int] | None = None) -> Partition:
-    """Half-lengths of the cycles of mate joined with other (default: the
-    base pairs (2v, 2v+1)), as a partition.  With the base pairs this is the
-    cycle type of sigma, or the coset type of a matching; with another
-    structure its length is the number of closed index loops of the pair."""
+def _loop_lengths(mate: Sequence[int]) -> Partition:
+    """Half-lengths of the cycles of mate joined with the base pairs
+    (2v, 2v+1), as a partition: the cycle type of sigma, or the coset type
+    of a matching."""
     seen = [False] * len(mate)
     parts = []
     for start in range(len(mate)):
@@ -393,10 +362,9 @@ def _loop_lengths(mate: Sequence[int], other: Sequence[int] | None = None) -> Pa
             continue
         n, x = 0, start
         while not seen[x]:
-            y = x ^ 1 if other is None else other[x]
-            seen[x] = seen[y] = True
+            seen[x] = seen[x ^ 1] = True
             n += 1
-            x = mate[y]
+            x = mate[x ^ 1]
         parts.append(n)
     return tuple(sorted(parts, reverse=True))
 
@@ -428,50 +396,91 @@ def _mate(pairs: Sequence[tuple[int, int]]) -> list[int]:
     return mate
 
 
-#: (orthogonal, k) -> table[lam][mu], mapping a number of loops to the number
-#: of structures pi of class mu that close that many loops with rho_lam
-_loop_table_memo: dict[tuple[bool, int], list[list[dict[int, int]]]] = {}
-#: (orthogonal, k, shift) -> A at N + shift, built from the loop table; no weight enters
-_gram_basis_memo: dict[tuple[bool, int, int], list[list[RatFunc]]] = {}
+@functools.cache
+def _fillings(parts: Partition, boxes: Partition) -> int:
+    """R_(mu,lam) of p_mu = sum_lam R_(mu,lam) m_lam: the ways to drop the
+    parts of mu into boxes of sizes lam so that each box is filled exactly."""
+    if not parts:
+        return 1
+    return sum(_fillings(parts[1:], tuple(sorted(filter(None, boxes[:j] + (size - parts[0],) + boxes[j + 1:]),
+                                                 reverse=True)))
+               for j, size in enumerate(boxes) if size >= parts[0])
 
 
-def _gram_basis(orthogonal: bool, k: int, shift: int = 0) -> list[list[RatFunc]]:
-    """A[lam][mu] = sum over pi of class mu of (N + shift)^(loops of pi and rho_lam)."""
-    hit = _gram_basis_memo.get((orthogonal, k, shift))
-    if hit is not None:
-        return hit
-    table = _loop_table_memo.get((orthogonal, k))
-    if table is None:
-        classes, classed = _structures(orthogonal, k)
-        mates = [(_mate(pairs), mu) for pairs, mu in classed]
-        reps = {}
-        for mate, mu in mates:
-            reps.setdefault(mu, mate)
-        table = [[{} for _ in classes] for _ in classes]
-        for lam, row in enumerate(table):
-            for mate, mu in mates:
-                loops = len(_loop_lengths(mate, reps[lam]))
-                row[mu][loops] = row[mu].get(loops, 0) + 1
-        _loop_table_memo[orthogonal, k] = table
-    base = Poly((shift, 1))
-    matrix = [[RatFunc(sum((n * base ** loops for loops, n in cell.items()), Poly())) for cell in row]
-              for row in table]
-    _gram_basis_memo[orthogonal, k, shift] = matrix
-    return matrix
+@functools.cache
+def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[tuple[tuple, tuple, Fraction], ...]]:
+    """z^alpha_mu = z_mu alpha^len(mu) per class, and for each partition theta
+    the offsets alpha j - i of its boxes, P_theta and <P_theta, P_theta>.
+
+    P_theta is the Jack polynomial P^(alpha)_theta up to a scalar, written
+    in power sums.  The Jack polynomials are orthogonal under <p_lam, p_mu>
+    = delta z^alpha_mu and P_theta is m_theta plus monomials m_lam with lam
+    below theta (Macdonald, Symmetric Functions and Hall Polynomials,
+    VI.10), so it is orthogonal to the dual basis g_mu of every mu above
+    theta.  Gram-Schmidt on g_theta = sum_mu R_(mu,theta) p_mu / z^alpha_mu,
+    from (k) down in partitions_of order, therefore yields it.
+    """
+    classes = list(partitions_of(k))
+    z = tuple(alpha ** len(mu) * math.prod(x ** n * math.factorial(n) for x, n in Counter(mu).items())
+              for mu in classes)
+
+    def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+        return sum((w * a * b for w, a, b in zip(z, u, v)), Fraction(0))
+
+    jacks = []
+    for theta in classes:
+        p = tuple(Fraction(_fillings(mu, theta), w) for mu, w in zip(classes, z))
+        for _, q, norm in jacks:
+            f = dot(p, q) / norm
+            p = tuple(a - f * b for a, b in zip(p, q))
+        offsets = tuple(alpha * j - i for i, row in enumerate(theta) for j in range(row))
+        jacks.append((offsets, p, dot(p, p)))
+    return z, tuple(jacks)
+
+
+def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequence[int]) -> list[RatFunc]:
+    """The class coefficients c of T = A(N + s_1) ... A(N + s_r) c, in closed form.
+
+    A_(lam,mu) = sum over pi of class mu of N^(loops of pi and rho_lam), the
+    class matrix of the structures on 2k labels (see _structures), with
+    alpha = 2 for matchings and 1 for permutations.  Its eigenvectors are
+    the Jack polynomials (zonal at alpha = 2, Schur at alpha = 1) and its
+    eigenvalues Z_theta(N) = prod over the boxes (i, j) of theta, counted
+    from 0, of (N + alpha j - i) (Macdonald, VII.2; Zinn-Justin, Lett. Math.
+    Phys. 91 (2010)), so no matrix is formed:
+
+        c_mu = sum_theta z^alpha_mu P_theta[mu] (sum_lam P_theta[lam] T_lam)
+                         / (<P_theta, P_theta> prod_s Z_theta(N + s)).
+    """
+    z, jacks = _jack_table(k, alpha)
+    terms: list[list] = [[] for _ in z]
+    for offsets, p, norm in jacks:
+        proj = linear_combination((a, t) for a, t in zip(p, targets) if a and t)
+        if proj:
+            eigenvalue = math.prod((Poly((s + x, 1)) for s in shifts for x in offsets), start=Poly((norm.numerator,)))
+            proj = proj * RatFunc(norm.denominator, eigenvalue)
+            for mu, (w, a) in enumerate(zip(z, p)):
+                if a:
+                    terms[mu].append((w * a, proj))
+    return [linear_combination(t) for t in terms]
 
 
 def _class_targets(
     ensemble: Ensemble, coefficients: dict[Partition, RatFunc], classes: Sequence[Partition]
 ) -> list[RatFunc]:
     """sum_p a_p <I_p p_lam(W)>_g for every class lam, p_lam(W) = prod_j tr W^(lam_j)."""
-    rhs = []
-    for lam in classes:
-        acc = RatFunc(0)
-        for p, a in coefficients.items():
-            if a:
-                acc = acc + a * gaussian_trace_moment(ensemble, [p, lam])
-        rhs.append(acc)
-    return rhs
+    return [linear_combination((1, a * gaussian_trace_moment(ensemble, [p, lam])) for p, a in coefficients.items() if a)
+            for lam in classes]
+
+
+def gram_class_coefficients(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> list[RatFunc]:
+    """The class coefficients c_mu of gram_product_moment, in partitions_of(k) order.
+
+    The class 1^k holds one structure, the target d(i1,l1)...d(ik,lk), so
+    these decide the defining conditions and error orders without expanding.
+    """
+    targets = _class_targets(ensemble, coefficients, list(partitions_of(k)))
+    return _class_solve(k, 2 if ensemble is Ensemble.ORTHOGONAL else 1, targets, (0,))
 
 
 def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> DeltaExpansion:
@@ -482,12 +491,11 @@ def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFun
     i_v ~ l_sigma(v) (unitary, COE), with class the coset or cycle type, a
     partition of k.  Contracting with one structure rho_lam per class turns
     the blocks into p_lam(W) = prod_j tr W^{lam_j} and gives the p(k) x p(k)
-    system sum_mu A_(lam,mu) c_mu = sum_p a_p <I_p p_lam(W)>_g, with
-    A_(lam,mu) = sum over pi of class mu of N^(loops of pi and rho_lam).
+    system sum_mu A_(lam,mu) c_mu = sum_p a_p <I_p p_lam(W)>_g, which
+    _class_solve solves in closed form.
     """
-    classes, pairings = _structures(ensemble is Ensemble.ORTHOGONAL, k)
-    matrix = _gram_basis(ensemble is Ensemble.ORTHOGONAL, k)
-    coeffs = solve_linear_system(matrix, _class_targets(ensemble, coefficients, classes))
+    coeffs = gram_class_coefficients(ensemble, coefficients, k)
+    _, pairings = _structures(ensemble is Ensemble.ORTHOGONAL, k)
     names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
     out = {}
     for pairs, c in pairings:
@@ -567,16 +575,14 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
     unitary), or every plain index end to a conjugated one (COE), and the
     class is the partition of m given by the half-lengths of the loops pi
     closes with the entries.  Contracting with one structure per class lam
-    gives T_lam = sum_p a_p <I_p p_lam(W)>_g = (A B c)_lam, with A the class
-    matrix of _gram_basis at N.  For the orthogonal and unitary ensembles
-    the row and column contractions each act as A, so B = A.  For the COE,
-    B is the same matrix at N+1: in the zonal basis of (S_2m, B_m) the
-    COE matrix has eigenvalues Z(N) Z(N+1) where A has Z(N) (Matsumoto,
-    2011).  These matrices commute with each other and with c (the class
-    functions form a commutative algebra), so c = B^-1 (A^-1 T), two
-    solves.  Without invariants in the weight c is known: a_0 / d^m on the
-    Wick pairings, the class 1^m, and 0 elsewhere.  Summed (tuple) labels
-    are contracted, each closed loop of them a factor N.
+    gives T_lam = sum_p a_p <I_p p_lam(W)>_g = (A(N) A(N + s) c)_lam, with A
+    the class matrix of _class_solve.  For the orthogonal and unitary
+    ensembles the row and column contractions each act as A, so s = 0.
+    For the COE s = 1: in the zonal basis of (S_2m, B_m) the COE matrix has
+    eigenvalues Z(N) Z(N+1) where A has Z(N) (Matsumoto, 2011).  Without
+    invariants in the weight this gives a_0 / d^m on the Wick pairings, the
+    class 1^m, and 0 elsewhere.  Summed (tuple) labels are contracted, each
+    closed loop of them a factor N.
     """
     if not ensemble.complex_entries and any(s.conj for s in slots):
         raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
@@ -594,14 +600,8 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
     # the COE's tau pairs plain index ends freely, like orthogonal row ends
     orthogonal = ensemble is not Ensemble.UNITARY
     classes, pairings = _structures(orthogonal, m)
-    if set(coefficients) <= {()}:
-        # the plain Gaussian moment: only the Wick pairings, of class 1^m, remain
-        wick = coefficients.get((), RatFunc(0)) * RatFunc(1, ensemble.pair_denominator ** m)
-        coeffs = [wick if lam == (1,) * m else RatFunc(0) for lam in classes]
-    else:
-        shift = 1 if ensemble is Ensemble.COE else 0
-        coeffs = solve_linear_system(_gram_basis(orthogonal, m), _class_targets(ensemble, coefficients, classes))
-        coeffs = solve_linear_system(_gram_basis(orthogonal, m, shift), coeffs)
+    shifts = (0, 1) if ensemble is Ensemble.COE else (0, 0)
+    coeffs = _class_solve(m, 2 if orthogonal else 1, _class_targets(ensemble, coefficients, classes), shifts)
     labels = list(dict.fromkeys(lab for s in placed for lab in (s.row, s.col)))
     ids = {lab: i for i, lab in enumerate(labels)}
     structures = _coe_structures if ensemble is Ensemble.COE else _paired_structures
@@ -623,10 +623,8 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
     for structure, by_class in powers.items():
         key = tuple(sorted((c, tuple(sorted(by_power.items()))) for c, by_power in by_class.items()))
         if key not in values:
-            acc = RatFunc(0)
-            for c, by_power in by_class.items():
-                acc = acc + coeffs[c] * _ratfunc_from_powers(by_power)
-            values[key] = acc
+            values[key] = linear_combination((n, coeffs[c] * RatFunc.n_power(power))
+                                             for c, by_power in by_class.items() for power, n in by_power.items())
         out[structure] = values[key]
     return DeltaExpansion(out)
 
@@ -668,23 +666,34 @@ def cumulants_from_moments(items: Sequence, moment_fn: Callable[[tuple], DeltaEx
     return cumulant(tuple(items))
 
 
+def gram_block_cumulant(
+    ensemble: Ensemble, k: int, coefficients: dict[Partition, RatFunc] | None = None
+) -> DeltaExpansion:
+    """Connected part of (M M+)_(i1,l1) ... (M M+)_(ik,lk), with the weight
+    w = sum_p a_p I_p as one more item when its coefficients are given.
+
+    The moment of any sub-collection is the Gram product of its s blocks,
+    weighted if w is among them, computed once per (s, weighted) and renamed.
+    """
+    unit = {(): RatFunc(1)}
+    by_size: dict[tuple[int, bool], DeltaExpansion] = {}
+
+    def moment_fn(sub: tuple) -> DeltaExpansion:
+        blocks = sorted(x for x in sub if x != "w")
+        key = (len(blocks), "w" in sub)
+        if key not in by_size:
+            by_size[key] = gram_product_moment(ensemble, coefficients if key[1] else unit, key[0])
+        return by_size[key].rename({f"{c}{t}": f"{c}{v}" for t, v in enumerate(blocks, start=1) for c in "il"})
+
+    items = ("w",) * (coefficients is not None) + tuple(range(1, k + 1))
+    return cumulants_from_moments(items, moment_fn)
+
+
 def connected_entry_moment(ensemble: Ensemble, k: int) -> DeltaExpansion:
     """Connected part of <(M M+)_(i1,l1) ... (M M+)_(ik,lk)>_g."""
     if k < 1:
         raise ValueError("need at least one factor")
-    by_size: dict[int, DeltaExpansion] = {}
-
-    def moment_fn(sub: tuple) -> DeltaExpansion:
-        s = len(sub)
-        if s not in by_size:
-            by_size[s] = gram_product_moment(ensemble, {(): RatFunc(1)}, s)
-        mapping = {}
-        for t, v in enumerate(sorted(sub), start=1):
-            mapping[f"i{t}"] = f"i{v}"
-            mapping[f"l{t}"] = f"l{v}"
-        return by_size[s].rename(mapping)
-
-    return cumulants_from_moments(tuple(range(1, k + 1)), moment_fn)
+    return gram_block_cumulant(ensemble, k)
 
 
 def connected_trace_moment(ensemble: Ensemble, invariants: Sequence[Partition]) -> RatFunc:

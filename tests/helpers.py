@@ -15,13 +15,19 @@ foundations:
   unitary), (1 + delta_ij)/(N+1) for the symmetric COE matrices (S_ij and
   S_ji are the same variable, so buckets key on the unordered pair).
 
+* reference_class_matrix: the class matrix of the invariance systems,
+  counted by enumerating every index structure against one structure per
+  class.  The engine never forms it: it solves in the Jack basis, where the
+  matrix is diagonal.
+
 * reference_coe_matrix: the class matrix of COE entry moments as a sum of
   N^cycles over the hyperoctahedral group, for each pair of classes.  The
-  engine instead multiplies two orthogonal class matrices, at N and N+1.
+  engine instead uses the orthogonal class matrix at N and N+1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -30,7 +36,7 @@ from wickweights import DeltaExpansion, Ensemble, Partition, Slot
 from wickweights.algebra import Poly, RatFunc
 from wickweights.combinatorics import DeltaStructure, contract_deltas, partitions_of, perfect_matchings
 from wickweights.weights import WeightFunction
-from wickweights.wick import gaussian_trace_moment
+from wickweights.wick import _mate, _structures, gaussian_trace_moment
 
 
 # -- pairings and delta patterns ---------------------------------------------------------
@@ -162,7 +168,7 @@ def reference_expansion(ensemble: Ensemble, slots) -> DeltaExpansion:
     conj = [s.conj for s in slots]
     m = len(slots) // 2
     den = RatFunc(1, ensemble.pair_denominator ** m)
-    variants = (0, 1) if ensemble.two_term else (0,)
+    variants = (0, 1) if ensemble is Ensemble.COE else (0,)
     total = DeltaExpansion.zero()
     if len(slots) % 2:
         return total
@@ -275,7 +281,7 @@ def weighted_trace_average(weight: WeightFunction, k: int) -> RatFunc:
     return out
 
 
-# -- the COE class matrix by brute force ---------------------------------------------------
+# -- class matrices by brute force -----------------------------------------------------------
 
 
 def _loop_type(mate: Sequence[int], other: Sequence[int]) -> Partition:
@@ -346,3 +352,32 @@ def reference_coe_matrix(m: int) -> list[list[RatFunc]]:
             row[mu] = row[mu] + phi[_loop_type(mate, rho)]
         matrix.append([RatFunc(p) for p in row])
     return matrix
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_table(orthogonal: bool, k: int) -> tuple:
+    """table[lam][mu] maps a number of loops to the number of structures pi
+    of class mu that close that many loops with a fixed structure rho_lam."""
+    classes, classed = _structures(orthogonal, k)
+    mates = [(_mate(pairs), mu) for pairs, mu in classed]
+    reps = {}
+    for mate, mu in mates:
+        reps.setdefault(mu, mate)
+    table = [[{} for _ in classes] for _ in classes]
+    for lam, row in enumerate(table):
+        for mate, mu in mates:
+            loops = len(_loop_type(mate, reps[lam]))
+            row[mu][loops] = row[mu].get(loops, 0) + 1
+    return table
+
+
+def reference_class_matrix(orthogonal: bool, k: int, shift: int = 0) -> list[list[RatFunc]]:
+    """A[lam][mu] = sum over pi of class mu of (N + shift)^(loops of pi and rho_lam).
+
+    pi runs over the perfect matchings of 2k labels (orthogonal) or the
+    pairings (2v, 2 sigma(v) + 1) (otherwise), as wick._structures lists
+    them; classes are in the order of partitions_of(k).
+    """
+    base = Poly((shift, 1))
+    return [[RatFunc(sum((n * base ** loops for loops, n in cell.items()), Poly())) for cell in row]
+            for row in _loop_table(orthogonal, k)]

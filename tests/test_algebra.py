@@ -192,9 +192,9 @@ def _det3(m):
 def test_solve_unitary_class_system_cramer():
     # the denominator N (N^2 - 1)(N^2 - 4) vanishes at small integers; a solve
     # at consecutive integer points can accept a wrong degree-5 candidate here
-    from wickweights.wick import _gram_basis
+    from helpers import reference_class_matrix
 
-    mat = _gram_basis(False, 3)
+    mat = reference_class_matrix(False, 3)
     rhs = [RatFunc(1), RatFunc(2), RatFunc(3)]
     det = _det3(mat)
     cramer = [_det3([row[:j] + [b] + row[j + 1:] for row, b in zip(mat, rhs)]) / det for j in range(3)]

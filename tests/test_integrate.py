@@ -115,6 +115,31 @@ def test_error_order_unitary():
     assert error_order(w, 3) >= 2
 
 
+@pytest.mark.parametrize("ens", list(Ensemble))
+def test_error_order_matches_expansion_minimum(ens):
+    # the order read off the class coefficients against the minimum over
+    # the expanded residual, kappa 1-3 and k = kappa+1, kappa+2
+    for kappa in (1, 2, 3):
+        w = solve_weight(ens, kappa)
+        for k in (kappa + 1, kappa + 2):
+            want = (integrate_gram_product(w, k) - delta_product_target(k)).min_order()
+            assert error_order(w, k) == want, (kappa, k)
+
+
+@pytest.mark.parametrize("ens", list(Ensemble))
+def test_error_order_k9_without_structures(ens, monkeypatch):
+    # degree 18 at kappa=2 from the class coefficients alone: no index
+    # structure is enumerated (17!! matchings in the orthogonal basis)
+    from wickweights import wick
+
+    def no_structures(*args):
+        raise AssertionError("error_order enumerated index structures")
+
+    monkeypatch.setattr(wick, "_structures", no_structures)
+    beta = error_order(solve_weight(ens, 2), 9)
+    assert beta is not None and beta >= 2
+
+
 def test_weighted_connected_orders(w2, w3):
     assert weighted_connected_order(w2, 2) >= 1
     assert weighted_connected_order(w3, 2) >= 1
@@ -177,9 +202,10 @@ def test_gram_product_fixture_recomputed(monkeypatch):
     # every weight and trace moment recomputed from nothing
     from wickweights import wick
 
-    monkeypatch.setattr(wick, "_trace_memo", {})
-    monkeypatch.setattr(wick, "_loop_table_memo", {})
-    monkeypatch.setattr(wick, "_gram_basis_memo", {})
+    for memo in ("_trace_memo", "_structures_memo"):
+        monkeypatch.setattr(wick, memo, {})
+    wick._fillings.cache_clear()
+    wick._jack_table.cache_clear()
     entries = json.loads(GRAM_FIXTURE.read_text())
     assert len(entries) == 41
     for e in entries:

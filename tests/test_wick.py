@@ -13,6 +13,7 @@ from helpers import (
     invariant_slots,
     oracle_concrete_moment,
     oracle_trace_moment,
+    reference_class_matrix,
     reference_coe_matrix,
     reference_expansion,
 )
@@ -23,11 +24,10 @@ from wickweights import (
     Slot,
     connected_entry_moment,
     connected_trace_moment,
-    elementary_contraction,
     gaussian_entry_moment,
     gaussian_trace_moment,
 )
-from wickweights.algebra import N, RatFunc
+from wickweights.algebra import N, Poly, RatFunc, solve_linear_system
 from wickweights.combinatorics import partitions_of, set_partitions
 from wickweights.integrate import integrate_monomial
 from wickweights.weights import solve_weight, unit_weight, weighted_moment
@@ -53,24 +53,24 @@ def slots_moment(ens, slots):
 
 
 def test_elementary_real():
-    got = elementary_contraction(Ensemble.ORTHOGONAL, Slot("i", "j"), Slot("k", "l"))
+    got = slots_moment(Ensemble.ORTHOGONAL, [Slot("i", "j"), Slot("k", "l")])
     assert got == expansion([(((("i", "k"), None), (("j", "l"), None)), RatFunc(1, N))])
 
 
 def test_elementary_complex_holomorphic_vanishes():
-    got = elementary_contraction(Ensemble.UNITARY, Slot("i", "j"), Slot("k", "l"))
+    got = slots_moment(Ensemble.UNITARY, [Slot("i", "j"), Slot("k", "l")])
     assert not got
-    got = elementary_contraction(Ensemble.UNITARY, Slot("i", "j", True), Slot("k", "l", True))
+    got = slots_moment(Ensemble.UNITARY, [Slot("i", "j", True), Slot("k", "l", True)])
     assert not got
 
 
 def test_elementary_complex():
-    got = elementary_contraction(Ensemble.UNITARY, Slot("i", "j"), Slot("k", "l", True))
+    got = slots_moment(Ensemble.UNITARY, [Slot("i", "j"), Slot("k", "l", True)])
     assert got == expansion([(((("i", "k"), None), (("j", "l"), None)), RatFunc(1, N))])
 
 
 def test_elementary_coe_two_terms():
-    got = elementary_contraction(Ensemble.COE, Slot("i", "j", True), Slot("k", "l"))
+    got = slots_moment(Ensemble.COE, [Slot("i", "j", True), Slot("k", "l")])
     inv = RatFunc(1, N + 1)
     assert got == expansion([
         (((("i", "k"), None), (("j", "l"), None)), inv),
@@ -84,13 +84,13 @@ def test_elementary_normalization():
         total = Fraction(0)
         for b in range(1, 5):
             pair = (Slot(1, b), Slot(1, b)) if ens is Ensemble.ORTHOGONAL else (Slot(1, b), Slot(1, b, True))
-            total += elementary_contraction(ens, *pair).as_ratfunc().eval(4)
+            total += slots_moment(ens, pair).as_ratfunc().eval(4)
         assert total == 1
 
 
 def test_elementary_conjugation_rejected_for_real():
     with pytest.raises(ValueError):
-        elementary_contraction(Ensemble.ORTHOGONAL, Slot("i", "j", True), Slot("k", "l"))
+        slots_moment(Ensemble.ORTHOGONAL, [Slot("i", "j", True), Slot("k", "l")])
 
 
 # -- entry moments ------------------------------------------------------------------
@@ -198,8 +198,10 @@ def test_entry_moment_fixture_recomputed(monkeypatch):
     # and orthogonal kappa=4 M[1,1]^8
     from wickweights import wick
 
-    for memo in ("_trace_memo", "_structures_memo", "_loop_table_memo", "_gram_basis_memo"):
+    for memo in ("_trace_memo", "_structures_memo"):
         monkeypatch.setattr(wick, memo, {})
+    wick._fillings.cache_clear()
+    wick._jack_table.cache_clear()
     entries = json.loads(ENTRY_FIXTURE.read_text())
     assert len(entries) == 336
     weights = {}
@@ -214,13 +216,32 @@ def test_entry_moment_fixture_recomputed(monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_coe_class_matrix_is_orthogonal_product(m):
     # the COE class system of entry moments is A(N) A(N+1), A the orthogonal one
-    from wickweights.wick import _gram_basis
-
-    a, b = _gram_basis(True, m), _gram_basis(True, m, 1)
+    a, b = reference_class_matrix(True, m), reference_class_matrix(True, m, 1)
     size = range(len(a))
     want = reference_coe_matrix(m)
     assert [[sum((a[i][k] * b[k][j] for k in size), RatFunc(0)) for j in size] for i in size] == want
     assert [[sum((b[i][k] * a[k][j] for k in size), RatFunc(0)) for j in size] for i in size] == want
+
+
+@pytest.mark.parametrize("orthogonal", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_class_solve_matches_reference_matrix(orthogonal, k):
+    # the closed form against solves of the enumerated class matrix: one
+    # solve (Gram products), two at N (orthogonal and unitary entry moments)
+    # and at N then N+1 (COE entry moments)
+    from wickweights.wick import _class_solve
+
+    rng = random.Random(f"class-solve/{orthogonal}/{k}")
+    size = len(list(partitions_of(k)))
+    targets = [RatFunc(Poly([rng.randint(-9, 9) for _ in range(k + 2)]), N ** rng.randint(0, k) * (N + 2) ** rng.randint(0, 2))
+               for _ in range(size)]
+    alpha = 2 if orthogonal else 1
+    once = solve_linear_system(reference_class_matrix(orthogonal, k), targets)
+    assert _class_solve(k, alpha, targets, (0,)) == once
+    twice = solve_linear_system(reference_class_matrix(orthogonal, k), once)
+    assert _class_solve(k, alpha, targets, (0, 0)) == twice
+    shifted = solve_linear_system(reference_class_matrix(orthogonal, k, 1), once)
+    assert _class_solve(k, alpha, targets, (0, 1)) == shifted
 
 
 def test_coe_degree_12_literal():
