@@ -672,6 +672,11 @@ def _satisfies(cleared: list[tuple[list[Poly], Poly]], x: list[RatFunc]) -> bool
     return all(sum((a * v for a, v in zip(row, scaled)), _ZERO) == b * common for row, b in cleared)
 
 
+def satisfies(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFunc], x: Sequence[RatFunc]) -> bool:
+    """A x == b exactly: the check solve_linear_system makes before it returns."""
+    return _satisfies([_clear_row(row, b) for row, b in zip(matrix, rhs)], x)
+
+
 def solve_linear_system(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFunc]) -> list[RatFunc]:
     """Exact solution of a square nonsingular system over the rational functions.
 

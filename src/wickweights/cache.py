@@ -3,7 +3,8 @@
 Location: $WICKWEIGHTS_CACHE_DIR if set, else $XDG_CACHE_HOME/wickweights,
 else ~/.cache/wickweights.  Writes go through a temp file and an atomic
 rename so concurrent producers of the same value cannot leave a torn file.
-Entries are versioned; anything with a different schema version is ignored.
+Entries are versioned; anything that is not an object of the current
+schema version is ignored.
 A read or write that fails, even for want of a usable directory, is a
 miss; a failed write is logged as a warning.  The cache only saves
 recomputation.
@@ -38,7 +39,7 @@ def load_json(name: str):
             obj = json.load(fh)
     except (OSError, ValueError):
         return None
-    if obj.get("schema") != SCHEMA_VERSION:
+    if not isinstance(obj, dict) or obj.get("schema") != SCHEMA_VERSION:
         return None
     return obj.get("payload")
 

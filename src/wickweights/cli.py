@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import cache
 from .algebra import PoleError, RatFunc
-from .combinatorics import check_partition
+from .combinatorics import check_partition, partition_label
 from .integrate import error_order, integrate_monomial
 from .weights import solve_weight, verify_conditions
 from .wick import Ensemble, MonomialSpec, gaussian_trace_moment
@@ -63,14 +63,10 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
 def _warn_cost(kappa: int) -> None:
     if kappa > _COST_WARNING_KAPPA:
         print(
-            f"warning: kappa={kappa} may take long: verify expands each condition into every "
-            f"index structure, up to degree {2 * kappa}",
+            f"warning: kappa={kappa} may take long: the exact solve grows with the partitions of "
+            f"weight <= {kappa}, and verify sums trace moments up to degree {4 * kappa + 2}",
             file=sys.stderr,
         )
-
-
-def _partition_label(p: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(x) for x in p) + ")"
 
 
 def _cmd_weights(args) -> int:
@@ -82,7 +78,7 @@ def _cmd_weights(args) -> int:
     else:
         print(f"weight table: ensemble={weight.ensemble.value} kappa={weight.kappa}")
         for p, v in weight.items():
-            print(f"  {_partition_label(p):12s} {v}")
+            print(f"  {partition_label(p):12s} {v}")
     return 0
 
 

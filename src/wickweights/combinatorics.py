@@ -35,6 +35,11 @@ def check_partition(parts: Sequence[int]) -> Partition:
     return p
 
 
+def partition_label(p: Partition) -> str:
+    """A partition as tables and reports print it: (2,1)."""
+    return "(" + ",".join(str(x) for x in p) + ")"
+
+
 def partitions_of(k: int) -> Iterator[Partition]:
     """All partitions of k in lexicographically descending order."""
 

@@ -9,13 +9,15 @@ assume.
 
 from __future__ import annotations
 
-from .combinatorics import partitions_of
+from typing import Iterable
+
+from .algebra import RatFunc
 from .wick import (
     DeltaExpansion,
     MonomialSpec,
-    delta_product_target,
-    gram_block_cumulant,
-    gram_class_coefficients,
+    gram_class_expansion,
+    gram_class_residual,
+    gram_connected_coefficients,
     gram_product_moment,
 )
 from .weights import WeightFunction, weighted_moment
@@ -48,25 +50,25 @@ def integrate_gram_product(weight: WeightFunction, k: int) -> DeltaExpansion:
     return gram_product_moment(weight.ensemble, weight.coefficients, k)
 
 
+def _min_order(values: Iterable[RatFunc]) -> int | None:
+    return min((v.order() for v in values if v), default=None)
+
+
 def error_order(weight: WeightFunction, k: int) -> int | None:
     """Observed decay exponent of the entrywise deviation at degree 2k > 2*kappa.
 
     Takes <w (M M+)_(i1,l1)...(ik,lk)> minus the exact target-space value
     (the plain delta product) and returns the minimum decay exponent over
     the residual coefficients.  Returns None when the deviation vanishes
-    identically.  The residual is read off the class coefficients c_mu of
-    the moment, without expanding it: each structure of class mu carries
-    c_mu, and the class 1^k holds exactly one structure, the target, so the
-    coefficients are c_mu - [mu = 1^k].  Tracing the blocks instead would
-    close index loops through the residual patterns and amplify them by
-    powers of N, so the trace of the deviation grows and is not the
+    identically.  The residual is read off the class coefficients, without
+    expanding it (wick.gram_class_residual).  Tracing the blocks instead
+    would close index loops through the residual patterns and amplify them
+    by powers of N, so the trace of the deviation grows and is not the
     quantity bounded here.
     """
     if k <= weight.kappa:
         raise ValueError("error order is measured beyond the weight's exact range")
-    coeffs = gram_class_coefficients(weight.ensemble, weight.coefficients, k)
-    orders = [(c - 1 if mu == (1,) * k else c).order() for mu, c in zip(partitions_of(k), coeffs)]
-    return min((o for o in orders if o is not None), default=None)
+    return _min_order(gram_class_residual(weight.ensemble, weight.coefficients, k).values())
 
 
 def weighted_connected_moment(weight: WeightFunction, k: int) -> DeltaExpansion:
@@ -74,17 +76,18 @@ def weighted_connected_moment(weight: WeightFunction, k: int) -> DeltaExpansion:
 
     The weight counts as one more factor in the block decomposition: the
     connected part is what remains after removing every splitting into two
-    or more complete contractions of entry blocks and/or the weight.  The
-    canonical s-block moments are Gram products, computed by invariance and
-    memoized per call, not read from disk.
+    or more complete contractions of entry blocks and/or the weight.  Its
+    coefficient depends only on the class of the index structure and is a
+    cumulant over the structure's loops and the weight
+    (wick.gram_connected_coefficients), expanded only here, for output.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return gram_block_cumulant(weight.ensemble, k, weight.coefficients)
+    return gram_class_expansion(weight.ensemble, k, gram_connected_coefficients(weight.ensemble, weight.coefficients, k))
 
 
 def weighted_connected_order(weight: WeightFunction, k: int) -> int | None:
-    """Minimum decay exponent over the connected part's coefficients.
+    """Minimum decay exponent over the connected part's class coefficients.
 
     For k = 1 the connected part vanishes identically (returns None); for
     1 < k <= kappa the exponent is expected to be at least floor((k+1)/2),
@@ -92,4 +95,4 @@ def weighted_connected_order(weight: WeightFunction, k: int) -> int | None:
     """
     if not 1 <= k <= weight.kappa:
         raise ValueError("k must lie in 1..kappa")
-    return weighted_connected_moment(weight, k).min_order()
+    return _min_order(gram_connected_coefficients(weight.ensemble, weight.coefficients, k))

@@ -9,9 +9,12 @@ matrix of the system is the table of Gaussian cross-moments of the
 invariants, which is positive definite, so the solution exists and is
 unique.
 
-Solved weights are cached on disk keyed by (ensemble, kappa); a fresh solve
-has passed the exact solver's own check of the defining conditions before
-the weight is returned or stored.
+Solved weights are cached on disk keyed by (ensemble, kappa).  A weight is
+returned only after the exact check A x == b against its Gram system: a
+fresh solve passes the solver's own check before it is returned or stored,
+and a cached table is checked against a freshly built system before it is
+served, so a malformed, stale or edited file is solved again and
+overwritten.
 """
 
 from __future__ import annotations
@@ -19,16 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cache
-from .algebra import RatFunc, solve_linear_system
-from .combinatorics import Partition, enumerate_partitions
+from .algebra import RatFunc, satisfies, solve_linear_system
+from .combinatorics import Partition, enumerate_partitions, partition_label
 from .wick import (
     DeltaExpansion,
     Ensemble,
     Slot,
-    delta_product_target,
     entry_moment,
     gaussian_trace_moment,
-    gram_product_moment,
+    gram_class_residual,
 )
 
 
@@ -115,21 +117,37 @@ def _cache_name(ensemble: Ensemble, kappa: int) -> str:
     return f"weight_{ensemble.value}_k{kappa}.json"
 
 
+def _cached_weight(system: GramSystem) -> WeightFunction | None:
+    """The cached table for the system if it parses and solves it exactly, else None."""
+    obj = cache.load_json(_cache_name(system.ensemble, system.kappa))
+    if obj is None:
+        return None
+    try:
+        weight = WeightFunction.from_json(obj)
+        x = [weight.coefficients[p] for p in system.partitions]
+    except (LookupError, TypeError, ValueError, ZeroDivisionError):
+        return None
+    if (weight.ensemble, weight.kappa, len(weight.coefficients)) != (system.ensemble, system.kappa, len(x)):
+        return None
+    return weight if satisfies(system.matrix, system.rhs, x) else None
+
+
 def solve_weight(ensemble: Ensemble, kappa: int, use_disk: bool = True) -> WeightFunction:
     """Build and solve the defining system for w_kappa.
 
     A fresh solve satisfies the defining conditions exactly:
     solve_linear_system returns no solution that has not passed its own
-    exact check A x == b.  Solved tables are stored on disk and read back
-    on later calls.
+    exact check A x == b.  Solved tables are stored on disk, and a stored
+    table is served only if it passes the same check against the freshly
+    built system; anything else is a miss, solved again and overwritten.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    if use_disk:
-        obj = cache.load_json(_cache_name(ensemble, kappa))
-        if obj is not None:
-            return WeightFunction.from_json(obj)
     system = build_gram_system(ensemble, kappa)
+    if use_disk:
+        weight = _cached_weight(system)
+        if weight is not None:
+            return weight
     solution = solve_linear_system(system.matrix, system.rhs)
     weight = WeightFunction(ensemble, kappa, dict(zip(system.partitions, solution)))
     if use_disk:
@@ -149,33 +167,41 @@ def weighted_moment(weight: WeightFunction, slots: list[Slot]) -> DeltaExpansion
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of checking <w (M M+)_(i1,l1)...(ik,lk)> = d_(i1,l1)...d_(ik,lk)."""
+    """Outcome of checking <w (M M+)_(i1,l1)...(ik,lk)> = d_(i1,l1)...d_(ik,lk).
+
+    residual maps each class mu of k whose coefficient misses its target
+    value [mu = 1^k] to the difference c_mu - [mu = 1^k].
+    """
 
     ensemble: Ensemble
     kappa: int
     k: int
     ok: bool
-    residual: DeltaExpansion
+    residual: dict[Partition, RatFunc]
 
     def __str__(self) -> str:
         status = "ok" if self.ok else "FAILED"
         s = f"condition k={self.k} for {self.ensemble.value} kappa={self.kappa}: {status}"
         if not self.ok:
-            s += f"; residual {self.residual!r}"
+            s += "; residual " + ", ".join(f"{partition_label(mu)}: {r}" for mu, r in self.residual.items())
         return s
 
 
 def verify_conditions(weight: WeightFunction, k: int) -> ConditionReport:
     """Symbolically check the order-k defining condition of the weight.
 
-    The weighted Gram product comes by invariance (wick.gram_product_moment).
-    For k <= kappa its contractions are exactly rows of the weight's own Gram
-    system, so this check follows from the solve; the independent evidence
-    that the reduction is right is the test suite's comparison with the
+    The weighted Gram product is sum_pi c_(class pi) d_pi by invariance, and
+    the class 1^k holds one structure, the target, so the condition holds
+    exactly when every class coefficient equals [mu = 1^k]
+    (wick.gram_class_residual); no index structure is expanded.  For
+    k <= kappa the class targets are rows of the weight's own Gram system,
+    so the check follows from the solve, and solve_weight serves a cached
+    table only after the same exact check.  The independent evidence that
+    the reduction is right is the test suite's comparison with the
     brute-force pairing sum of tests/helpers.py and with the stored
     expansions of the former pairing-walk engine.
     """
     if not 1 <= k <= max(weight.kappa, 1):
         raise ValueError("k must lie in 1..kappa")
-    residual = gram_product_moment(weight.ensemble, weight.coefficients, k) - delta_product_target(k)
+    residual = gram_class_residual(weight.ensemble, weight.coefficients, k)
     return ConditionReport(weight.ensemble, weight.kappa, k, not residual, residual)

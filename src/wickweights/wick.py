@@ -37,6 +37,17 @@ Lett. Math. Phys. 91 (2010); and Matsumoto, Weingarten calculus for
 matrix ensembles associated with compact symmetric spaces, 2011, for the
 COE action.
 
+Scalar questions are answered from these class coefficients, and a
+DeltaExpansion is built only as output.  A defining condition or error
+order compares c_mu with its target [mu = 1^k] (gram_class_residual).
+Connected parts are cumulants per class: the loops of a Gram structure
+with the base pairs are its connected components over the blocks, so the
+structure splits along a partition of the blocks exactly when every loop
+lies inside one part, and its restriction to a part has the class of that
+part's loop lengths.  The connected coefficient of class mu is therefore
+a cumulant over the loops of mu, and the weight when there is one
+(gram_connected_coefficients).
+
 Labels in a monomial are symbolic (str, a free index), concrete (int, a
 fixed matrix index) or summed (a tuple, an internal index that is
 contracted: each closed loop of summed indices is a factor N).
@@ -58,7 +69,6 @@ from .algebra import Poly, RatFunc, linear_combination
 from .combinatorics import (
     DeltaStructure,
     Partition,
-    _label_sort_key,
     check_partition,
     contract_deltas,
     partitions_of,
@@ -148,21 +158,15 @@ class DeltaExpansion:
     The canonical form of any entry-monomial integral: keys are the residual
     equality structures on the free labels (see combinatorics.contract_deltas),
     values are exact rational functions of N.  Zero coefficients are dropped,
-    so equality of expansions is dict equality.
+    so equality of expansions is dict equality.  It is an output format only:
+    scalar questions (defining conditions, error orders, connected orders)
+    are answered from class coefficients, never from an expansion.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[DeltaStructure, RatFunc] | None = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @staticmethod
-    def zero() -> "DeltaExpansion":
-        return DeltaExpansion()
-
-    @staticmethod
-    def unit(coeff: RatFunc | int = 1) -> "DeltaExpansion":
-        return DeltaExpansion({(): RatFunc(coeff) if not isinstance(coeff, RatFunc) else coeff})
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: _structure_order(kv[0]))
@@ -173,42 +177,6 @@ class DeltaExpansion:
     def __eq__(self, other) -> bool:
         return isinstance(other, DeltaExpansion) and self.terms == other.terms
 
-    def __add__(self, other: "DeltaExpansion") -> "DeltaExpansion":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return DeltaExpansion(out)
-
-    def __sub__(self, other: "DeltaExpansion") -> "DeltaExpansion":
-        return self + other.scale(RatFunc(-1))
-
-    def scale(self, c: RatFunc) -> "DeltaExpansion":
-        if not c:
-            return DeltaExpansion()
-        return DeltaExpansion({k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other: "DeltaExpansion") -> "DeltaExpansion":
-        """Product of expansions over disjoint free-label sets."""
-        out: dict[DeltaStructure, RatFunc] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                k = tuple(sorted(ka + kb, key=lambda b: tuple(_label_sort_key(x) for x in b[0])))
-                v = va * vb
-                s = out.get(k)
-                out[k] = v if s is None else s + v
-        return DeltaExpansion(out)
-
-    def rename(self, mapping: dict[str, str]) -> "DeltaExpansion":
-        out: dict[DeltaStructure, RatFunc] = {}
-        for k, v in self.terms.items():
-            blocks = []
-            for labels, anchor in k:
-                blocks.append((tuple(sorted((mapping.get(x, x) for x in labels), key=_label_sort_key)), anchor))
-            blocks.sort(key=lambda b: tuple(_label_sort_key(x) for x in b[0]))
-            out[tuple(blocks)] = v
-        return DeltaExpansion(out)
-
     def as_ratfunc(self) -> RatFunc:
         """Collapse an expansion with no residual deltas to its scalar."""
         if not self.terms:
@@ -216,11 +184,6 @@ class DeltaExpansion:
         if set(self.terms) == {()}:
             return self.terms[()]
         raise ValueError("expansion still carries free-index deltas")
-
-    def min_order(self) -> int | None:
-        """Smallest decay exponent among the coefficients; None if empty."""
-        orders = [v.order() for v in self.terms.values()]
-        return min(orders) if orders else None
 
     def to_json(self) -> list:
         out = []
@@ -232,22 +195,6 @@ class DeltaExpansion:
                 deltas.extend([base, lab] for lab in rest)
             out.append({"deltas": deltas, "coeff": v.to_json()})
         return out
-
-    @staticmethod
-    def from_json(obj: list) -> "DeltaExpansion":
-        """Inverse of to_json.  Numeric strings in the delta pairs are the
-        concrete anchors (symbolic labels are identifiers, never digits)."""
-        terms: dict[DeltaStructure, RatFunc] = {}
-        for entry in obj:
-            edges = []
-            for a, b in entry["deltas"]:
-                edges.append((int(a) if a.isdigit() else a, int(b) if b.isdigit() else b))
-            res = contract_deltas(edges, ())
-            if res is None:
-                raise ValueError("inconsistent delta pattern in serialized expansion")
-            structure, _ = res
-            terms[structure] = RatFunc.from_json(entry["coeff"])
-        return DeltaExpansion(terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -474,13 +421,30 @@ def _class_targets(
 
 
 def gram_class_coefficients(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> list[RatFunc]:
-    """The class coefficients c_mu of gram_product_moment, in partitions_of(k) order.
-
-    The class 1^k holds one structure, the target d(i1,l1)...d(ik,lk), so
-    these decide the defining conditions and error orders without expanding.
-    """
+    """The class coefficients c_mu of gram_product_moment, in partitions_of(k) order."""
     targets = _class_targets(ensemble, coefficients, list(partitions_of(k)))
     return _class_solve(k, 2 if ensemble is Ensemble.ORTHOGONAL else 1, targets, (0,))
+
+
+def gram_class_residual(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> dict[Partition, RatFunc]:
+    """The nonzero c_mu - [mu = 1^k], keyed by class.
+
+    The class 1^k holds one structure, the target d(i1,l1)...d(ik,lk), so
+    these are the coefficients of the moment minus its target-space value,
+    which decide the defining conditions and error orders without expanding.
+    """
+    coeffs = gram_class_coefficients(ensemble, coefficients, k)
+    residual = {mu: c - 1 if mu == (1,) * k else c for mu, c in zip(partitions_of(k), coeffs)}
+    return {mu: r for mu, r in residual.items() if r}
+
+
+def gram_class_expansion(ensemble: Ensemble, k: int, class_coefficients: Sequence[RatFunc]) -> DeltaExpansion:
+    """sum_pi c_(class pi) d_pi over the index structures pi of k Gram blocks,
+    with c in partitions_of(k) order (see gram_product_moment)."""
+    _, pairings = _structures(ensemble is Ensemble.ORTHOGONAL, k)
+    names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
+    return DeltaExpansion({contract_deltas([(names[a], names[b]) for a, b in pairs], ())[0]: class_coefficients[c]
+                           for pairs, c in pairings})
 
 
 def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> DeltaExpansion:
@@ -494,14 +458,7 @@ def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFun
     system sum_mu A_(lam,mu) c_mu = sum_p a_p <I_p p_lam(W)>_g, which
     _class_solve solves in closed form.
     """
-    coeffs = gram_class_coefficients(ensemble, coefficients, k)
-    _, pairings = _structures(ensemble is Ensemble.ORTHOGONAL, k)
-    names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
-    out = {}
-    for pairs, c in pairings:
-        structure, _ = contract_deltas([(names[a], names[b]) for a, b in pairs], ())
-        out[structure] = coeffs[c]
-    return DeltaExpansion(out)
+    return gram_class_expansion(ensemble, k, gram_class_coefficients(ensemble, coefficients, k))
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -590,10 +547,10 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
         plain = [s for s in slots if not s.conj]
         conj = [s for s in slots if s.conj]
         if len(plain) != len(conj):
-            return DeltaExpansion.zero()
+            return DeltaExpansion()
         placed = [s for pair in zip(plain, conj) for s in pair]
     elif len(slots) % 2:
-        return DeltaExpansion.zero()
+        return DeltaExpansion()
     else:
         placed = list(slots)
     m = len(placed) // 2
@@ -629,80 +586,52 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
     return DeltaExpansion(out)
 
 
-def delta_product_target(k: int) -> DeltaExpansion:
-    """The target-space value of the entrywise product: d(i1,l1)...d(ik,lk)."""
-    structure, _ = contract_deltas([(f"i{v}", f"l{v}") for v in range(1, k + 1)], ())
-    return DeltaExpansion({structure: RatFunc(1)})
-
-
 # -- connected (completely correlated) parts ----------------------------------------------
 
 
-def cumulants_from_moments(items: Sequence, moment_fn: Callable[[tuple], DeltaExpansion]) -> DeltaExpansion:
-    """Connected part of the full item list under block factorization.
+def _cumulant(items: Sequence, moment: Callable[[tuple], RatFunc]) -> RatFunc:
+    """Connected part of the items: the sum over the set partitions P of the
+    items of (-1)^(|P|-1) (|P|-1)! prod_(G in P) moment(G)."""
+    return linear_combination(
+        ((-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1),
+         math.prod((moment(g) for g in blocks), start=RatFunc(1)))
+        for blocks in set_partitions(items))
 
-    moment_fn maps a tuple of items to the full Gaussian moment of their
-    combined product.  The connected part subtracts, recursively, every
-    splitting into two or more complete contractions.
+
+def gram_connected_coefficients(
+    ensemble: Ensemble, coefficients: dict[Partition, RatFunc] | None, k: int
+) -> list[RatFunc]:
+    """Class coefficients kappa_mu of the connected part of (M M+)_(i1,l1) ...
+    (M M+)_(ik,lk), in partitions_of(k) order, with the weight w = sum_p a_p I_p
+    as one more item when its coefficients are given:
+
+        kappa_mu = sum_P (-1)^(|P|-1) (|P|-1)! prod_(G in P) c^(|G|, w in G)[loops in G]
+
+    P runs over the set partitions of the loops of mu (and w), |G| counts the
+    blocks of G's loops, and c^(s, .) are the class coefficients of s blocks
+    under w or the unit weight; at s = 0 that is <w>.
     """
-    memo: dict[frozenset, DeltaExpansion] = {}
+    @functools.cache
+    def table(s: int, weighted: bool) -> dict[Partition, RatFunc]:
+        weight = coefficients if weighted else {(): RatFunc(1)}
+        return dict(zip(partitions_of(s), gram_class_coefficients(ensemble, weight, s)))
 
-    def cumulant(sub: tuple) -> DeltaExpansion:
-        key = frozenset(sub)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = moment_fn(sub)
-        for blocks in set_partitions(sub):
-            if len(blocks) < 2:
-                continue
-            prod = DeltaExpansion.unit()
-            for b in blocks:
-                prod = prod * cumulant(tuple(b))
-            total = total - prod
-        memo[key] = total
-        return total
+    def moment(group: tuple) -> RatFunc:
+        lengths = tuple(sorted((x for x in group if x != "w"), reverse=True))
+        return table(sum(lengths), "w" in group)[lengths]
 
-    return cumulant(tuple(items))
-
-
-def gram_block_cumulant(
-    ensemble: Ensemble, k: int, coefficients: dict[Partition, RatFunc] | None = None
-) -> DeltaExpansion:
-    """Connected part of (M M+)_(i1,l1) ... (M M+)_(ik,lk), with the weight
-    w = sum_p a_p I_p as one more item when its coefficients are given.
-
-    The moment of any sub-collection is the Gram product of its s blocks,
-    weighted if w is among them, computed once per (s, weighted) and renamed.
-    """
-    unit = {(): RatFunc(1)}
-    by_size: dict[tuple[int, bool], DeltaExpansion] = {}
-
-    def moment_fn(sub: tuple) -> DeltaExpansion:
-        blocks = sorted(x for x in sub if x != "w")
-        key = (len(blocks), "w" in sub)
-        if key not in by_size:
-            by_size[key] = gram_product_moment(ensemble, coefficients if key[1] else unit, key[0])
-        return by_size[key].rename({f"{c}{t}": f"{c}{v}" for t, v in enumerate(blocks, start=1) for c in "il"})
-
-    items = ("w",) * (coefficients is not None) + tuple(range(1, k + 1))
-    return cumulants_from_moments(items, moment_fn)
+    extra = ("w",) if coefficients is not None else ()
+    return [_cumulant(mu + extra, moment) for mu in partitions_of(k)]
 
 
 def connected_entry_moment(ensemble: Ensemble, k: int) -> DeltaExpansion:
     """Connected part of <(M M+)_(i1,l1) ... (M M+)_(ik,lk)>_g."""
     if k < 1:
         raise ValueError("need at least one factor")
-    return gram_block_cumulant(ensemble, k)
+    return gram_class_expansion(ensemble, k, gram_connected_coefficients(ensemble, None, k))
 
 
 def connected_trace_moment(ensemble: Ensemble, invariants: Sequence[Partition]) -> RatFunc:
     """Connected part of a product of trace invariants (scalar case)."""
-    items = tuple(range(len(invariants)))
     parts = [check_partition(p) for p in invariants]
-
-    def moment_fn(sub: tuple) -> DeltaExpansion:
-        val = gaussian_trace_moment(ensemble, [parts[i] for i in sub])
-        return DeltaExpansion.unit(val)
-
-    return cumulants_from_moments(items, moment_fn).as_ratfunc()
+    return _cumulant(range(len(parts)), lambda group: gaussian_trace_moment(ensemble, [parts[i] for i in group]))

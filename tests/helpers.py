@@ -23,6 +23,11 @@ foundations:
 * reference_coe_matrix: the class matrix of COE entry moments as a sum of
   N^cycles over the hyperoctahedral group, for each pair of classes.  The
   engine instead uses the orthogonal class matrix at N and N+1.
+
+* cumulants_from_moments: connected parts by the moment-cumulant recursion
+  over whole delta expansions, with the arithmetic on expansions that the
+  engine, which outputs expansions but never computes with them, does not
+  carry.  The engine takes one cumulant per class of index structure.
 """
 
 from __future__ import annotations
@@ -30,13 +35,108 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from wickweights import DeltaExpansion, Ensemble, Partition, Slot
 from wickweights.algebra import Poly, RatFunc
-from wickweights.combinatorics import DeltaStructure, contract_deltas, partitions_of, perfect_matchings
+from wickweights.combinatorics import (
+    DeltaStructure,
+    _label_sort_key,
+    contract_deltas,
+    partitions_of,
+    perfect_matchings,
+    set_partitions,
+)
 from wickweights.weights import WeightFunction
 from wickweights.wick import _mate, _structures, gaussian_trace_moment
+
+
+# -- delta-expansion arithmetic ----------------------------------------------------------
+
+
+def add(*expansions: DeltaExpansion) -> DeltaExpansion:
+    out: dict[DeltaStructure, RatFunc] = {}
+    for e in expansions:
+        for k, v in e.terms.items():
+            out[k] = out[k] + v if k in out else v
+    return DeltaExpansion(out)
+
+
+def scale(expansion: DeltaExpansion, c: RatFunc) -> DeltaExpansion:
+    return DeltaExpansion({k: v * c for k, v in expansion.terms.items()})
+
+
+def subtract(a: DeltaExpansion, b: DeltaExpansion) -> DeltaExpansion:
+    return add(a, scale(b, RatFunc(-1)))
+
+
+def product(a: DeltaExpansion, b: DeltaExpansion) -> DeltaExpansion:
+    """Product of expansions over disjoint free-label sets."""
+    out: dict[DeltaStructure, RatFunc] = {}
+    for ka, va in a.terms.items():
+        for kb, vb in b.terms.items():
+            k = tuple(sorted(ka + kb, key=lambda blk: tuple(_label_sort_key(x) for x in blk[0])))
+            out[k] = out[k] + va * vb if k in out else va * vb
+    return DeltaExpansion(out)
+
+
+def rename(expansion: DeltaExpansion, mapping: dict[str, str]) -> DeltaExpansion:
+    out: dict[DeltaStructure, RatFunc] = {}
+    for k, v in expansion.terms.items():
+        blocks = [(tuple(sorted((mapping.get(x, x) for x in labels), key=_label_sort_key)), anchor)
+                  for labels, anchor in k]
+        blocks.sort(key=lambda blk: tuple(_label_sort_key(x) for x in blk[0]))
+        out[tuple(blocks)] = v
+    return DeltaExpansion(out)
+
+
+def min_order(expansion: DeltaExpansion) -> int | None:
+    """Smallest decay exponent among the coefficients; None if empty."""
+    return min((v.order() for v in expansion.terms.values()), default=None)
+
+
+def expansion_from_json(obj: list) -> DeltaExpansion:
+    """Inverse of DeltaExpansion.to_json.  Numeric strings in the delta pairs
+    are the concrete anchors (symbolic labels are identifiers, never digits)."""
+    terms: dict[DeltaStructure, RatFunc] = {}
+    for entry in obj:
+        edges = [tuple(int(x) if x.isdigit() else x for x in pair) for pair in entry["deltas"]]
+        res = contract_deltas(edges, ())
+        if res is None:
+            raise ValueError("inconsistent delta pattern in serialized expansion")
+        terms[res[0]] = RatFunc.from_json(entry["coeff"])
+    return DeltaExpansion(terms)
+
+
+def delta_product_target(k: int) -> DeltaExpansion:
+    """The target-space value of the entrywise product: d(i1,l1)...d(ik,lk)."""
+    structure, _ = contract_deltas([(f"i{v}", f"l{v}") for v in range(1, k + 1)], ())
+    return DeltaExpansion({structure: RatFunc(1)})
+
+
+def cumulants_from_moments(items: Sequence, moment_fn: Callable[[tuple], DeltaExpansion]) -> DeltaExpansion:
+    """Connected part of the full item list under block factorization.
+
+    moment_fn maps a tuple of items to the full Gaussian moment of their
+    combined product.  The connected part subtracts, recursively, every
+    splitting into two or more complete contractions.
+    """
+    memo: dict[frozenset, DeltaExpansion] = {}
+
+    def cumulant(sub: tuple) -> DeltaExpansion:
+        key = frozenset(sub)
+        if key not in memo:
+            total = moment_fn(sub)
+            for blocks in set_partitions(sub):
+                if len(blocks) > 1:
+                    prod = DeltaExpansion({(): RatFunc(1)})
+                    for b in blocks:
+                        prod = product(prod, cumulant(tuple(b)))
+                    total = subtract(total, prod)
+            memo[key] = total
+        return memo[key]
+
+    return cumulant(tuple(items))
 
 
 # -- pairings and delta patterns ---------------------------------------------------------
@@ -167,11 +267,10 @@ def reference_expansion(ensemble: Ensemble, slots) -> DeltaExpansion:
     summed = {lab for s in slots for lab in (s.row, s.col) if isinstance(lab, tuple)}
     conj = [s.conj for s in slots]
     m = len(slots) // 2
-    den = RatFunc(1, ensemble.pair_denominator ** m)
     variants = (0, 1) if ensemble is Ensemble.COE else (0,)
-    total = DeltaExpansion.zero()
+    counts: dict[DeltaStructure, dict[int, int]] = {}  # structure -> power of N -> pairings
     if len(slots) % 2:
-        return total
+        return DeltaExpansion()
     for pairing in enumerate_pairings(conj, ensemble.complex_entries):
         for choice in itertools.product(variants, repeat=m):
             edges = []
@@ -187,8 +286,11 @@ def reference_expansion(ensemble: Ensemble, slots) -> DeltaExpansion:
             if res is None:
                 continue
             structure, power = res
-            total = total + DeltaExpansion({structure: RatFunc.n_power(power) * den})
-    return total
+            by_power = counts.setdefault(structure, {})
+            by_power[power] = by_power.get(power, 0) + 1
+    den = ensemble.pair_denominator ** m
+    return DeltaExpansion({structure: RatFunc(sum((Poly.n_power(p, n) for p, n in by_power.items()), Poly()), den)
+                           for structure, by_power in counts.items()})
 
 
 def _fact(n: int) -> int:

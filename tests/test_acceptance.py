@@ -26,11 +26,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import circle_cos_sin_moment
+from helpers import circle_cos_sin_moment, delta_product_target, min_order
 from wickweights import Ensemble, MonomialSpec, connected_entry_moment
 from wickweights.algebra import N, Poly, RatFunc
 from wickweights.integrate import (
-    delta_product_target,
     error_order,
     integrate_gram_product,
     integrate_monomial,
@@ -189,7 +188,7 @@ def test_criterion_5_connected_scaling():
     ok = True
     for ens in (Ensemble.ORTHOGONAL, Ensemble.UNITARY, Ensemble.COE):
         for k in (2, 3, 4, 5):
-            order = connected_entry_moment(ens, k).min_order()
+            order = min_order(connected_entry_moment(ens, k))
             observed[ens.value, k] = order
             ok = ok and order is not None and order >= k - 1
     report(5, ok, f"connected-part orders (bound k-1): {observed}")

@@ -208,6 +208,53 @@ def test_import_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_exported_name_resolves():
+    import wickweights
+
+    missing = [name for name in wickweights.__all__ if not hasattr(wickweights, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("content", ['{"schema": 1, "payload": {}}', "[]", '{"schema": 1, "payload": '
+                                     '{"ensemble": "orthogonal", "kappa": 2, "coefficients": []}}'])
+def test_malformed_cached_weight_is_solved_again(tmp_path, monkeypatch, capsys, content):
+    from wickweights.weights import WeightFunction, solve_weight
+    from wickweights.wick import Ensemble
+
+    monkeypatch.setenv("WICKWEIGHTS_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "weight_orthogonal_k2.json"
+    path.write_text(content)
+    code, out, _ = run(capsys, "weights", "--ensemble", "orthogonal", "--kappa", "2", "--format", "json")
+    assert code == 0
+    want = solve_weight(Ensemble.ORTHOGONAL, 2, use_disk=False)
+    assert WeightFunction.from_json(json.loads(out)) == want
+    assert WeightFunction.from_json(json.loads(path.read_text())["payload"]) == want  # overwritten
+
+
+def test_wrong_cached_weight_is_solved_again(tmp_path, monkeypatch, capsys):
+    # one coefficient of a well-formed table changed: served, it would make
+    # verify fail and the degree-2 integral wrong
+    from wickweights.algebra import N, RatFunc
+
+    monkeypatch.setenv("WICKWEIGHTS_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "weight_orthogonal_k2.json"
+    for command in ("verify", "integrate"):
+        assert run(capsys, "weights", "--ensemble", "orthogonal", "--kappa", "2")[0] == 0
+        obj = json.loads(path.read_text())
+        assert obj["payload"]["coefficients"][1]["partition"] == [1]
+        obj["payload"]["coefficients"][1]["value"] = RatFunc(N + 1, 2).to_json()
+        path.write_text(json.dumps(obj))
+        if command == "verify":
+            code, out, _ = run(capsys, "verify", "--ensemble", "orthogonal", "--kappa", "2")
+            assert code == 0 and "FAILED" not in out
+        else:
+            code, out, _ = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
+                               "--monomial", "M[1,1] M[1,1]")
+            assert code == 0 and out.strip() == str(RatFunc(1, N))
+        stored = json.loads(path.read_text())["payload"]["coefficients"][1]["value"]
+        assert RatFunc.from_json(stored) == RatFunc(N, 2)
+
+
 def test_integrate_kappa_4_degree_8_without_worker_processes():
     # Haar E[O_11^8] on O(N); the weight of order 4 reproduces it exactly
     from wickweights.algebra import N, RatFunc

@@ -4,18 +4,33 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import evaluate_expansion, structure_to_delta_pairs, weighted_trace_average
+from helpers import (
+    FreshSummed,
+    add,
+    cumulants_from_moments,
+    delta_product_target,
+    evaluate_expansion,
+    expansion_from_json,
+    gram_block_slots,
+    invariant_slots,
+    min_order,
+    reference_expansion,
+    rename,
+    scale,
+    structure_to_delta_pairs,
+    subtract,
+    weighted_trace_average,
+)
 from wickweights import DeltaExpansion, Ensemble, MonomialSpec
 from wickweights.algebra import N, RatFunc
 from wickweights.integrate import (
-    delta_product_target,
     error_order,
     integrate_gram_product,
     integrate_monomial,
     weighted_connected_moment,
     weighted_connected_order,
 )
-from wickweights.weights import solve_weight, unit_weight, verify_conditions
+from wickweights.weights import WeightFunction, solve_weight, unit_weight, verify_conditions
 from wickweights.wick import gaussian_trace_moment
 
 
@@ -75,7 +90,7 @@ def test_row_column_relabeling_invariance(w2):
     a = integrate_monomial(w2, MonomialSpec.parse("M[i,a] M[j,a] M[i,b] M[j,b]"))
     b = integrate_monomial(w2, MonomialSpec.parse("M[x,u] M[y,u] M[x,v] M[y,v]"))
     mapping = {"x": "i", "y": "j", "u": "a", "v": "b"}
-    assert b.rename(mapping) == a
+    assert rename(b, mapping) == a
 
 
 def test_gram_product_pure_gaussian():
@@ -97,9 +112,9 @@ def test_exactness_within_range(ens):
 
 
 def test_first_deviation_beyond_range(w2):
-    diff = integrate_gram_product(w2, 3) - delta_product_target(3)
+    diff = subtract(integrate_gram_product(w2, 3), delta_product_target(3))
     assert diff
-    assert diff.min_order() >= 2
+    assert min_order(diff) >= 2
 
 
 def test_error_order_values(w2, w3):
@@ -122,7 +137,7 @@ def test_error_order_matches_expansion_minimum(ens):
     for kappa in (1, 2, 3):
         w = solve_weight(ens, kappa)
         for k in (kappa + 1, kappa + 2):
-            want = (integrate_gram_product(w, k) - delta_product_target(k)).min_order()
+            want = min_order(subtract(integrate_gram_product(w, k), delta_product_target(k)))
             assert error_order(w, k) == want, (kappa, k)
 
 
@@ -138,6 +153,46 @@ def test_error_order_k9_without_structures(ens, monkeypatch):
     monkeypatch.setattr(wick, "_structures", no_structures)
     beta = error_order(solve_weight(ens, 2), 9)
     assert beta is not None and beta >= 2
+
+
+@pytest.mark.parametrize("ens", list(Ensemble))
+def test_scalar_answers_without_structures(ens, monkeypatch):
+    # verify, error orders and weighted connected orders read class
+    # coefficients: no index structure is enumerated or contracted
+    from wickweights import combinatorics, wick
+
+    def refuse(*args):
+        raise AssertionError("index structures enumerated or contracted")
+
+    w = solve_weight(ens, 2)
+    broken = WeightFunction(w.ensemble, w.kappa, {**w.coefficients, (1,): RatFunc(0)})
+    monkeypatch.setattr(wick, "_structures", refuse)
+    monkeypatch.setattr(wick, "contract_deltas", refuse)
+    monkeypatch.setattr(combinatorics, "contract_deltas", refuse)
+    assert verify_conditions(w, 2).ok
+    assert not verify_conditions(broken, 2).ok
+    assert error_order(w, 3) >= 2
+    assert weighted_connected_order(w, 2) >= 1
+
+
+@pytest.mark.parametrize("ens", list(Ensemble))
+def test_weighted_connected_matches_reference_cumulants(ens):
+    # the per-class cumulant against the moment-cumulant recursion over
+    # brute-force pairing sums, the weight as one more item
+    for kappa in (1, 2):
+        w = solve_weight(ens, kappa)
+
+        def moment_fn(sub):
+            fresh = FreshSummed()
+            blocks = [s for v in sub if v != "w" for s in gram_block_slots(ens, f"i{v}", f"l{v}", fresh)]
+            if "w" not in sub:
+                return reference_expansion(ens, blocks)
+            return add(*(scale(reference_expansion(ens, invariant_slots(ens, p, fresh) + blocks), a)
+                         for p, a in w.coefficients.items() if a))
+
+        for k in (1, 2, 3):
+            want = cumulants_from_moments(("w",) + tuple(range(1, k + 1)), moment_fn)
+            assert weighted_connected_moment(w, k) == want, (kappa, k)
 
 
 def test_weighted_connected_orders(w2, w3):
@@ -212,7 +267,7 @@ def test_gram_product_fixture_recomputed(monkeypatch):
         ens = Ensemble(e["ensemble"])
         w = solve_weight(ens, e["kappa"], use_disk=False) if e["kappa"] else unit_weight(ens)
         got = integrate_gram_product(w, e["k"])
-        assert got == DeltaExpansion.from_json(e["expansion"]), (e["ensemble"], e["kappa"], e["k"])
+        assert got == expansion_from_json(e["expansion"]), (e["ensemble"], e["kappa"], e["k"])
 
 
 @pytest.mark.parametrize("ens, kappa", [(Ensemble.COE, 4), (Ensemble.UNITARY, 5)])

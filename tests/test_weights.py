@@ -6,7 +6,7 @@ import pytest
 
 from wickweights import Ensemble, gaussian_trace_moment
 from wickweights.algebra import N, Poly, RatFunc
-from wickweights.combinatorics import enumerate_partitions
+from wickweights.combinatorics import enumerate_partitions, partitions_of
 from wickweights.weights import (
     WeightFunction,
     build_gram_system,
@@ -99,6 +99,8 @@ def test_verify_detects_broken_weight():
     report = verify_conditions(broken, 2)
     assert not report.ok
     assert report.residual
+    assert set(report.residual) <= set(partitions_of(2))
+    assert "FAILED" in str(report) and "(1,1): " in str(report)
 
 
 def test_unit_weight():

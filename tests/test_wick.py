@@ -8,14 +8,21 @@ import pytest
 
 from helpers import (
     FreshSummed,
+    add,
+    cumulants_from_moments,
     evaluate_expansion,
+    expansion_from_json,
     gram_product_slots,
     invariant_slots,
+    min_order,
     oracle_concrete_moment,
     oracle_trace_moment,
+    product,
     reference_class_matrix,
     reference_coe_matrix,
     reference_expansion,
+    rename,
+    scale,
 )
 from wickweights import (
     DeltaExpansion,
@@ -32,7 +39,6 @@ from wickweights.combinatorics import partitions_of, set_partitions
 from wickweights.integrate import integrate_monomial
 from wickweights.weights import solve_weight, unit_weight, weighted_moment
 from wickweights.wick import (
-    cumulants_from_moments,
     entry_moment,
     gram_product_moment,
     moment_with_invariants,
@@ -181,10 +187,10 @@ def test_integrate_monomial_matches_reference_expansion(ens):
         w = solve_weight(ens, kappa) if kappa else unit_weight(ens)
         monomials = [distinct] + [_random_monomial(rng, ens, npairs) for npairs in (1, 2, 2, 2)]
         for m in monomials:
-            want = DeltaExpansion.zero()
+            want = DeltaExpansion()
             for p, a in w.coefficients.items():
                 slots = invariant_slots(ens, p, FreshSummed()) + list(m.slots)
-                want = want + reference_expansion(ens, slots).scale(a)
+                want = add(want, scale(reference_expansion(ens, slots), a))
             assert integrate_monomial(w, m) == want, (kappa, m)
 
 
@@ -210,7 +216,7 @@ def test_entry_moment_fixture_recomputed(monkeypatch):
         if (ens, kappa) not in weights:
             weights[ens, kappa] = solve_weight(ens, kappa, use_disk=False) if kappa else unit_weight(ens)
         got = integrate_monomial(weights[ens, kappa], MonomialSpec.parse(e["monomial"]))
-        assert got == DeltaExpansion.from_json(e["expansion"]), (e["ensemble"], kappa, e["monomial"])
+        assert got == expansion_from_json(e["expansion"]), (e["ensemble"], kappa, e["monomial"])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -430,17 +436,17 @@ def test_moment_cumulant_consistency(ens):
     for k in (2, 3, 4):
         slots, _ = gram_product_slots(ens, k)
         full = slots_moment(ens, slots)
-        total = DeltaExpansion.zero()
+        total = DeltaExpansion()
         for blocks in set_partitions(range(1, k + 1)):
-            prod = DeltaExpansion.unit()
+            prod = DeltaExpansion({(): RatFunc(1)})
             for block in blocks:
                 part = connected_entry_moment(ens, len(block))
                 mapping = {}
                 for t, v in enumerate(sorted(block), start=1):
                     mapping[f"i{t}"] = f"i{v}"
                     mapping[f"l{t}"] = f"l{v}"
-                prod = prod * part.rename(mapping)
-            total = total + prod
+                prod = product(prod, rename(part, mapping))
+            total = add(total, prod)
         assert total == full
 
 
@@ -456,7 +462,7 @@ def test_connected_matches_open_kernel_cumulants(ens):
             for t, v in enumerate(sorted(sub), start=1):
                 mapping[f"i{t}"] = f"i{v}"
                 mapping[f"l{t}"] = f"l{v}"
-            return slots_moment(ens, slots).rename(mapping)
+            return rename(slots_moment(ens, slots), mapping)
 
         want = cumulants_from_moments(tuple(range(1, k + 1)), moment_fn)
         assert connected_entry_moment(ens, k) == want, k
@@ -466,7 +472,7 @@ def test_connected_matches_open_kernel_cumulants(ens):
 def test_connected_scaling(ens):
     # each extra correlated block costs at least one power of 1/N
     for k in (2, 3, 4):
-        order = connected_entry_moment(ens, k).min_order()
+        order = min_order(connected_entry_moment(ens, k))
         assert order is not None and order >= k - 1
         assert order == k - 1  # attained: no global cancellation
 
@@ -488,7 +494,7 @@ def test_cumulants_from_moments_scalar():
     }
 
     def moment_fn(sub):
-        return DeltaExpansion.unit(RatFunc(vals[frozenset(sub)]))
+        return DeltaExpansion({(): RatFunc(vals[frozenset(sub)])})
 
     got = cumulants_from_moments((1, 2, 3), moment_fn).as_ratfunc()
     # 14 - 3*(1*2) [pair*single cumulant 1] - 2*2*2 = 14 - 3*2*... computed below
