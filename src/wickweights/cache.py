@@ -37,7 +37,7 @@ def load_json(name: str):
     try:
         with open(cache_dir() / name, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):  # RecursionError: nesting too deep to parse
         return None
     if not isinstance(obj, dict) or obj.get("schema") != SCHEMA_VERSION:
         return None

@@ -23,12 +23,12 @@ from fractions import Fraction
 
 from . import cache
 from .algebra import PoleError, RatFunc
-from .combinatorics import check_partition, partition_label
+from .combinatorics import check_partition, partition_label, structure_label
 from .integrate import error_order, integrate_monomial
 from .weights import solve_weight, verify_conditions
 from .wick import Ensemble, MonomialSpec, gaussian_trace_moment
 
-_COST_WARNING_KAPPA = 5
+_COST_WARNING_KAPPA = 7
 
 
 def _ensemble(text: str) -> Ensemble:
@@ -63,8 +63,8 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
 def _warn_cost(kappa: int) -> None:
     if kappa > _COST_WARNING_KAPPA:
         print(
-            f"warning: kappa={kappa} may take long: the exact solve grows with the partitions of "
-            f"weight <= {kappa}, and verify sums trace moments up to degree {4 * kappa + 2}",
+            f"warning: kappa={kappa} may take long (cold, 15-30 s at kappa=8): the exact solve grows with "
+            f"the partitions of weight <= {kappa}, and verify sums trace moments up to degree {4 * kappa + 2}",
             file=sys.stderr,
         )
 
@@ -90,34 +90,31 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    if args.format == "json" and args.at is not None:
+        raise ValueError("--at applies to text output only; drop it or --format json")
     _warn_cost(args.kappa)
     monomial = MonomialSpec.parse(args.monomial)
     monomial.validate(args.ensemble)
     weight = solve_weight(args.ensemble, args.kappa)
     expansion = integrate_monomial(weight, monomial)
-    if monomial.is_concrete():
+    if args.format == "json":
+        json.dump(expansion.to_json(), sys.stdout, indent=2)
+        print()
+    elif monomial.is_concrete():
         value = expansion.as_ratfunc()
         print(value)
         if args.at is not None:
             exact = value.eval(args.at)
             print(f"= {exact} = {float(exact):.12g} at N = {args.at}")
     else:
-        if args.format == "json":
-            json.dump(expansion.to_json(), sys.stdout, indent=2)
-            print()
-        else:
-            if not expansion:
-                print("0")
-            for structure, coeff in expansion.items():
-                deltas = "".join(
-                    "d(" + ",".join(list(labels) + ([str(a)] if a is not None else [])) + ")"
-                    for labels, a in structure
-                ) or "1"
-                print(f"  {deltas:30s} {coeff}")
-            if args.at is not None:
-                print(f"-- coefficients at N = {args.at}:")
-                for structure, coeff in expansion.items():
-                    print(f"  {coeff.eval(args.at)}")
+        if not expansion:
+            print("0")
+        for structure, coeff in expansion.items():
+            print(f"  {structure_label(structure):30s} {coeff}")
+        if args.at is not None:
+            print(f"-- coefficients at N = {args.at}:")
+            for _, coeff in expansion.items():
+                print(f"  {coeff.eval(args.at)}")
     return 0
 
 
@@ -215,10 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except PoleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (PoleError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

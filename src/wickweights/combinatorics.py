@@ -106,6 +106,12 @@ Block = tuple[tuple[Label, ...], int | None]  # (sorted symbolic labels, concret
 DeltaStructure = tuple[Block, ...]
 
 
+def structure_label(structure: DeltaStructure) -> str:
+    """A delta structure as output prints it: d(i,j)d(k,2), or 1 for none."""
+    return "".join("d(" + ",".join(list(labels) + ([str(a)] if a is not None else [])) + ")"
+                   for labels, a in structure) or "1"
+
+
 def _label_sort_key(label: Label):
     return (0, label) if isinstance(label, str) else (1, str(label))
 

@@ -15,10 +15,10 @@ from .algebra import RatFunc
 from .wick import (
     DeltaExpansion,
     MonomialSpec,
+    gram_class_coefficients,
     gram_class_expansion,
     gram_class_residual,
     gram_connected_coefficients,
-    gram_product_moment,
 )
 from .weights import WeightFunction, weighted_moment
 
@@ -42,12 +42,12 @@ def integrate_gram_product(weight: WeightFunction, k: int) -> DeltaExpansion:
     """<w * (M M+)_(i1,l1) ... (M M+)_(ik,lk)>_g over distinct free labels.
 
     Computed by invariance from closed trace moments (see
-    wick.gram_product_moment), so even the degree-18 products take well
+    wick.gram_class_coefficients), so even the degree-18 products take well
     under a second and nothing is stored on disk.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return gram_product_moment(weight.ensemble, weight.coefficients, k)
+    return gram_class_expansion(weight.ensemble, k, gram_class_coefficients(weight.ensemble, weight.coefficients, k))
 
 
 def _min_order(values: Iterable[RatFunc]) -> int | None:

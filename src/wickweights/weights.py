@@ -44,10 +44,6 @@ class GramSystem:
     matrix: tuple[tuple[RatFunc, ...], ...]
     rhs: tuple[RatFunc, ...]
 
-    def is_symmetric(self) -> bool:
-        n = len(self.partitions)
-        return all(self.matrix[i][j] == self.matrix[j][i] for i in range(n) for j in range(i))
-
 
 def build_gram_system(ensemble: Ensemble, kappa: int) -> GramSystem:
     """Gram matrix <I_k1 I_k2>_g over the canonical partition list, with the
@@ -132,25 +128,22 @@ def _cached_weight(system: GramSystem) -> WeightFunction | None:
     return weight if satisfies(system.matrix, system.rhs, x) else None
 
 
-def solve_weight(ensemble: Ensemble, kappa: int, use_disk: bool = True) -> WeightFunction:
+def solve_weight(ensemble: Ensemble, kappa: int) -> WeightFunction:
     """Build and solve the defining system for w_kappa.
 
-    A fresh solve satisfies the defining conditions exactly:
-    solve_linear_system returns no solution that has not passed its own
-    exact check A x == b.  Solved tables are stored on disk, and a stored
-    table is served only if it passes the same check against the freshly
-    built system; anything else is a miss, solved again and overwritten.
+    The Gram system is always built first.  A stored table is served only
+    if it passes the exact check A x == b against it; anything else is a
+    miss, solved again and stored over the old file.  A fresh solve
+    satisfies the defining conditions exactly: solve_linear_system returns
+    no solution that has not passed the same check.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     system = build_gram_system(ensemble, kappa)
-    if use_disk:
-        weight = _cached_weight(system)
-        if weight is not None:
-            return weight
-    solution = solve_linear_system(system.matrix, system.rhs)
-    weight = WeightFunction(ensemble, kappa, dict(zip(system.partitions, solution)))
-    if use_disk:
+    weight = _cached_weight(system)
+    if weight is None:
+        solution = solve_linear_system(system.matrix, system.rhs)
+        weight = WeightFunction(ensemble, kappa, dict(zip(system.partitions, solution)))
         cache.store_json(_cache_name(ensemble, kappa), weight.to_json())
     return weight
 

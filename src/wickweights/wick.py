@@ -28,10 +28,10 @@ is invariant under M -> O M O'^T, U M V and S -> U S U^T, so
 <w * prod of entries> is a combination of delta structures whose
 coefficients depend only on a partition of half the degree.  Contracting
 with one structure per partition leaves a small linear system over closed
-trace moments (entry_moment; gram_product_moment for products of entrywise
-(M M+) blocks).  Its matrix is diagonal in the basis of Jack polynomials,
-with eigenvalues in closed form, so it is solved without being formed
-(_class_solve).  See Collins, IMRN 2003, no. 17; Collins and Matsumoto,
+trace moments (entry_moment; gram_class_coefficients for products of
+entrywise (M M+) blocks).  Its matrix is diagonal in the basis of Jack
+polynomials, with eigenvalues in closed form, so it is solved without
+being formed (_class_solve).  See Collins, IMRN 2003, no. 17; Collins and Matsumoto,
 Weingarten calculus via orthogonality relations, 2017; Zinn-Justin,
 Lett. Math. Phys. 91 (2010); and Matsumoto, Weingarten calculus for
 matrix ensembles associated with compact symmetric spaces, 2011, for the
@@ -74,6 +74,7 @@ from .combinatorics import (
     partitions_of,
     perfect_matchings,
     set_partitions,
+    structure_label,
 )
 
 
@@ -136,10 +137,6 @@ class MonomialSpec:
         if not ensemble.complex_entries and any(s.conj for s in self.slots):
             raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
 
-    @property
-    def degree(self) -> int:
-        return len(self.slots)
-
     def is_concrete(self) -> bool:
         return all(isinstance(s.row, int) and isinstance(s.col, int) for s in self.slots)
 
@@ -199,14 +196,7 @@ class DeltaExpansion:
     def __repr__(self) -> str:
         if not self.terms:
             return "DeltaExpansion(0)"
-        bits = []
-        for k, v in self.items():
-            pat = "".join(
-                "d(" + ",".join(str(x) for x in labels) + ("," + str(a) if a is not None else "") + ")"
-                for labels, a in k
-            )
-            bits.append(f"[{v}]{pat or '1'}")
-        return "DeltaExpansion(" + " + ".join(bits) + ")"
+        return "DeltaExpansion(" + " + ".join(f"[{v}]{structure_label(k)}" for k, v in self.items()) + ")"
 
 
 # -- public moments -----------------------------------------------------------------------
@@ -218,11 +208,8 @@ def gaussian_entry_moment(ensemble: Ensemble, monomial: MonomialSpec) -> DeltaEx
     return entry_moment(ensemble, {(): RatFunc(1)}, monomial.slots)
 
 
-#: (ensemble, powers) -> numerator of every loop-equation state visited so far
-_trace_memo: dict[tuple, list[int]] = {}
-
-
-def _loop_numerator(ensemble: Ensemble, powers: tuple[int, ...]) -> list[int]:
+@functools.cache
+def _loop_numerator(ensemble: Ensemble, powers: tuple[int, ...]) -> tuple[int, ...]:
     """Ascending integer coefficients of d^m <prod_i tr W^{k_i}>, W = M M+.
 
     powers holds the k_i >= 1 in decreasing order, m is their sum and d the
@@ -235,12 +222,8 @@ def _loop_numerator(ensemble: Ensemble, powers: tuple[int, ...]) -> list[int]:
     with (t_k, c) = (0, 1) unitary, (k-1, 2) orthogonal, (k, 2) COE.  Every
     term on the right has total power m-1, so numerators simply add.
     """
-    key = (ensemble, powers)
-    hit = _trace_memo.get(key)
-    if hit is not None:
-        return hit
     if not powers:
-        return [1]
+        return (1,)
     k, rest = powers[0], powers[1:]
     c = 1 if ensemble is Ensemble.UNITARY else 2
     t = {Ensemble.UNITARY: 0, Ensemble.ORTHOGONAL: k - 1, Ensemble.COE: k}[ensemble]
@@ -256,8 +239,7 @@ def _loop_numerator(ensemble: Ensemble, powers: tuple[int, ...]) -> list[int]:
         out.extend([0] * (len(num) + shift - len(out)))
         for e, x in enumerate(num, start=shift):
             out[e] += coeff * x
-    _trace_memo[key] = out
-    return out
+    return tuple(out)
 
 
 def gaussian_trace_moment(
@@ -267,14 +249,19 @@ def gaussian_trace_moment(
     use_disk: bool = True,
 ) -> RatFunc:
     """Exact <prod_i tr((M M+)^{k_i})>_g as a rational function of N, by the
-    loop equation (see _loop_numerator); memoized in memory.
+    loop equation (see _loop_numerator).
 
-    use_disk is accepted for older callers and ignored: trace moments are
-    no longer stored on disk.
+    The moment depends only on the multiset of the k_i, and each multiset
+    is built and reduced once per process: every later call returns the
+    same RatFunc.  use_disk is accepted for older callers and ignored:
+    trace moments are never stored on disk.
     """
-    powers = tuple(sorted((x for p in invariants for x in check_partition(p)), reverse=True))
-    num = _loop_numerator(ensemble, powers)
-    return RatFunc(Poly(num), ensemble.pair_denominator ** sum(powers))
+    return _trace_moment(ensemble, tuple(sorted((x for p in invariants for x in check_partition(p)), reverse=True)))
+
+
+@functools.cache
+def _trace_moment(ensemble: Ensemble, powers: tuple[int, ...]) -> RatFunc:
+    return RatFunc(Poly(_loop_numerator(ensemble, powers)), ensemble.pair_denominator ** sum(powers))
 
 
 def moment_with_invariants(
@@ -316,14 +303,9 @@ def _loop_lengths(mate: Sequence[int]) -> Partition:
     return tuple(sorted(parts, reverse=True))
 
 
-#: (orthogonal, k) -> (the partitions of k, [(pairs, class index)] for every structure)
-_structures_memo: dict[tuple[bool, int], tuple] = {}
-
-
+@functools.cache
 def _structures(orthogonal: bool, k: int) -> tuple[list[Partition], list[tuple[tuple, int]]]:
-    hit = _structures_memo.get((orthogonal, k))
-    if hit is not None:
-        return hit
+    """The partitions of k, and (pairs, class index) for every structure on 2k labels."""
     if orthogonal:
         pairings = perfect_matchings(2 * k)
     else:
@@ -331,9 +313,7 @@ def _structures(orthogonal: bool, k: int) -> tuple[list[Partition], list[tuple[t
                     for sigma in itertools.permutations(range(k)))
     classes = list(partitions_of(k))
     index = {lam: c for c, lam in enumerate(classes)}
-    classed = [(pairs, index[_loop_lengths(_mate(pairs))]) for pairs in pairings]
-    _structures_memo[orthogonal, k] = classes, classed
-    return classes, classed
+    return classes, [(pairs, index[_loop_lengths(_mate(pairs))]) for pairs in pairings]
 
 
 def _mate(pairs: Sequence[tuple[int, int]]) -> list[int]:
@@ -421,7 +401,14 @@ def _class_targets(
 
 
 def gram_class_coefficients(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> list[RatFunc]:
-    """The class coefficients c_mu of gram_product_moment, in partitions_of(k) order."""
+    """Class coefficients c_mu of <w (M M+)_(i1,l1) ... (M M+)_(ik,lk)>_g for
+    w = sum_p a_p I_p, in partitions_of(k) order, by invariance.
+
+    The moment is sum_pi c_(class pi) d_pi over the index structures pi of
+    _structures, with class the coset or cycle type.  Contracting with one
+    structure per class lam turns the blocks into p_lam(W) and gives the
+    system A c = (sum_p a_p <I_p p_lam(W)>_g)_lam, solved by _class_solve.
+    """
     targets = _class_targets(ensemble, coefficients, list(partitions_of(k)))
     return _class_solve(k, 2 if ensemble is Ensemble.ORTHOGONAL else 1, targets, (0,))
 
@@ -440,25 +427,11 @@ def gram_class_residual(ensemble: Ensemble, coefficients: dict[Partition, RatFun
 
 def gram_class_expansion(ensemble: Ensemble, k: int, class_coefficients: Sequence[RatFunc]) -> DeltaExpansion:
     """sum_pi c_(class pi) d_pi over the index structures pi of k Gram blocks,
-    with c in partitions_of(k) order (see gram_product_moment)."""
+    with c in partitions_of(k) order (see gram_class_coefficients)."""
     _, pairings = _structures(ensemble is Ensemble.ORTHOGONAL, k)
     names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
     return DeltaExpansion({contract_deltas([(names[a], names[b]) for a, b in pairs], ())[0]: class_coefficients[c]
                            for pairs, c in pairings})
-
-
-def gram_product_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> DeltaExpansion:
-    """<w (M M+)_(i1,l1) ... (M M+)_(ik,lk)>_g for w = sum_p a_p I_p, by invariance.
-
-    The moment is sum_pi c_(class pi) d_pi over the index structures pi:
-    perfect matchings of the 2k labels (orthogonal) or the pairings
-    i_v ~ l_sigma(v) (unitary, COE), with class the coset or cycle type, a
-    partition of k.  Contracting with one structure rho_lam per class turns
-    the blocks into p_lam(W) = prod_j tr W^{lam_j} and gives the p(k) x p(k)
-    system sum_mu A_(lam,mu) c_mu = sum_p a_p <I_p p_lam(W)>_g, which
-    _class_solve solves in closed form.
-    """
-    return gram_class_expansion(ensemble, k, gram_class_coefficients(ensemble, coefficients, k))
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:

@@ -1,17 +1,24 @@
-import os
 import pathlib
-import shutil
 import sys
-import tempfile
 
-# Every session starts from an empty weight cache, so the suite runs the
-# engine instead of reading stored answers; tests/data holds the expected
-# values that cold results are compared against.
-_CACHE = tempfile.mkdtemp(prefix="wickweights-tests-")
-os.environ["WICKWEIGHTS_CACHE_DIR"] = _CACHE
+import pytest
+
+# Every test, and every module-scoped fixture, starts from an empty weight
+# cache, so the suite runs the engine instead of reading stored answers;
+# tests/data holds the expected values that cold results are compared
+# against.
+_CACHE_VAR = "WICKWEIGHTS_CACHE_DIR"
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 
-def pytest_unconfigure(config):
-    shutil.rmtree(_CACHE, ignore_errors=True)
+@pytest.fixture(autouse=True, scope="module")
+def _module_cache(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(_CACHE_VAR, str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def fresh_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv(_CACHE_VAR, str(tmp_path))

@@ -169,7 +169,6 @@ def test_criterion_3_error_order_bounds(weights):
     report(3, ok, f"deviation orders beyond the exact range: {betas} (bound 2)")
 
 
-@pytest.mark.stretch
 def test_criterion_3_stretch_degree_18(weights):
     beta = error_order(weights[Ensemble.ORTHOGONAL, 4], 5)
     ok = beta is not None and beta >= 3

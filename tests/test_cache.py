@@ -5,12 +5,11 @@ import tempfile
 import pytest
 
 from wickweights import Ensemble, cache
-from wickweights.weights import solve_weight
+from wickweights.algebra import solve_linear_system
+from wickweights.weights import build_gram_system, solve_weight
 
 
 def test_store_json_logs_failed_write(tmp_path, monkeypatch, caplog):
-    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-
     def fail(src, dst):
         raise OSError("disk full")
 
@@ -24,8 +23,6 @@ def test_store_json_logs_failed_write(tmp_path, monkeypatch, caplog):
 @pytest.mark.parametrize("broken", ["mkstemp", "directory"])
 def test_unwritable_cache_still_returns_weight(tmp_path, monkeypatch, caplog, broken):
     if broken == "mkstemp":
-        monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-
         def refuse(*args, **kwargs):
             raise PermissionError("read-only cache directory")
 
@@ -36,7 +33,8 @@ def test_unwritable_cache_still_returns_weight(tmp_path, monkeypatch, caplog, br
         monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "file" / "cache"))
     with caplog.at_level(logging.WARNING, logger="wickweights.cache"):
         w = solve_weight(Ensemble.ORTHOGONAL, 2)
-    assert w == solve_weight(Ensemble.ORTHOGONAL, 2, use_disk=False)
+    s = build_gram_system(Ensemble.ORTHOGONAL, 2)  # the reference bypasses the cache
+    assert w.coefficients == dict(zip(s.partitions, solve_linear_system(s.matrix, s.rhs)))
     assert any(r.name == "wickweights.cache" and "weight_orthogonal_k2.json" in r.getMessage()
                for r in caplog.records)
     assert [f.name for f in tmp_path.iterdir()] in ([], ["file"])

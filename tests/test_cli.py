@@ -51,14 +51,14 @@ def test_unknown_ensemble_usage_error(capsys):
     assert code == 2
 
 
-def test_cost_warning_above_five(capsys):
+def test_cost_warning_above_seven(capsys):
     # the warning is printed before the monomial is parsed, so a bad
-    # monomial shows it without any solve; cold verify at kappa=5 takes seconds
-    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "6",
+    # monomial shows it without any solve; cold verify at kappa=7 takes seconds
+    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "8",
                        "--monomial", "M[1,1")
     assert code == 2
     assert "warning" in err
-    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "5",
+    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "7",
                        "--monomial", "M[1,1")
     assert code == 2
     assert "warning" not in err and "error" in err
@@ -89,6 +89,13 @@ def test_integrate_concrete(capsys):
                        "--monomial", "M[1,1] M[1,1] M[1,1] M[1,1]")
     assert code == 0
     assert out.strip() == "(3) / (N^2 + 2*N)"
+    code, out, _ = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
+                       "--monomial", "M[1,1] M[1,1]", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"deltas": [], "coeff": {"num": ["1"], "den": ["0", "1"]}}]
+    code, out, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
+                         "--monomial", "M[1,1] M[1,1]", "--format", "json", "--at", "5")
+    assert code == 2 and out == "" and "--at" in err
 
 
 def test_integrate_at_dimension(capsys):
@@ -99,15 +106,19 @@ def test_integrate_at_dimension(capsys):
 
 
 def test_integrate_odd_is_zero(capsys):
-    code, out, _ = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
-                       "--monomial", "M[1,1]")
-    assert code == 0 and out.strip() == "0"
+    for monomial, fmt, want in (("M[1,1]", "text", "0"), ("M[i,j]", "text", "0"), ("M[i,j]", "json", "[]")):
+        code, out, _ = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
+                           "--monomial", monomial, "--format", fmt)
+        assert code == 0 and out.strip() == want, (monomial, fmt)
 
 
 def test_integrate_symbolic_text_and_json(capsys):
     code, out, _ = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "1",
                        "--monomial", "M[i,a] M[j,a]")
     assert code == 0 and "d(i,j)" in out
+    code, out, _ = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "1",
+                       "--monomial", "M[i,a] M[j,a]", "--at", "5")
+    assert code == 0 and out.splitlines()[-2:] == ["-- coefficients at N = 5:", "  1/5"]
     code, out, _ = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "1",
                        "--monomial", "M[i,a] M[j,a]", "--format", "json")
     obj = json.loads(out)
@@ -216,27 +227,26 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize("content", ['{"schema": 1, "payload": {}}', "[]", '{"schema": 1, "payload": '
-                                     '{"ensemble": "orthogonal", "kappa": 2, "coefficients": []}}'])
-def test_malformed_cached_weight_is_solved_again(tmp_path, monkeypatch, capsys, content):
+                                     '{"ensemble": "orthogonal", "kappa": 2, "coefficients": []}}',
+                                     pytest.param("[" * 200000 + "]" * 200000, id="deeply-nested")])
+def test_malformed_cached_weight_is_solved_again(tmp_path, capsys, content):
     from wickweights.weights import WeightFunction, solve_weight
     from wickweights.wick import Ensemble
 
-    monkeypatch.setenv("WICKWEIGHTS_CACHE_DIR", str(tmp_path))
+    want = solve_weight(Ensemble.ORTHOGONAL, 2)  # solved from the empty cache, then overwritten below
     path = tmp_path / "weight_orthogonal_k2.json"
     path.write_text(content)
     code, out, _ = run(capsys, "weights", "--ensemble", "orthogonal", "--kappa", "2", "--format", "json")
     assert code == 0
-    want = solve_weight(Ensemble.ORTHOGONAL, 2, use_disk=False)
     assert WeightFunction.from_json(json.loads(out)) == want
     assert WeightFunction.from_json(json.loads(path.read_text())["payload"]) == want  # overwritten
 
 
-def test_wrong_cached_weight_is_solved_again(tmp_path, monkeypatch, capsys):
+def test_wrong_cached_weight_is_solved_again(tmp_path, capsys):
     # one coefficient of a well-formed table changed: served, it would make
     # verify fail and the degree-2 integral wrong
     from wickweights.algebra import N, RatFunc
 
-    monkeypatch.setenv("WICKWEIGHTS_CACHE_DIR", str(tmp_path))
     path = tmp_path / "weight_orthogonal_k2.json"
     for command in ("verify", "integrate"):
         assert run(capsys, "weights", "--ensemble", "orthogonal", "--kappa", "2")[0] == 0

@@ -252,20 +252,18 @@ def test_trace_moment_reuse(w2):
 GRAM_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "gram_products.json"
 
 
-def test_gram_product_fixture_recomputed(monkeypatch):
+def test_gram_product_fixture_recomputed():
     # expansions of the former pairing-walk engine, degree up to 18, with
     # every weight and trace moment recomputed from nothing
     from wickweights import wick
 
-    for memo in ("_trace_memo", "_structures_memo"):
-        monkeypatch.setattr(wick, memo, {})
-    wick._fillings.cache_clear()
-    wick._jack_table.cache_clear()
+    for memo in (wick._loop_numerator, wick._trace_moment, wick._structures, wick._fillings, wick._jack_table):
+        memo.cache_clear()
     entries = json.loads(GRAM_FIXTURE.read_text())
     assert len(entries) == 41
     for e in entries:
         ens = Ensemble(e["ensemble"])
-        w = solve_weight(ens, e["kappa"], use_disk=False) if e["kappa"] else unit_weight(ens)
+        w = solve_weight(ens, e["kappa"]) if e["kappa"] else unit_weight(ens)
         got = integrate_gram_product(w, e["k"])
         assert got == expansion_from_json(e["expansion"]), (e["ensemble"], e["kappa"], e["k"])
 

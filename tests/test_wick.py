@@ -36,11 +36,10 @@ from wickweights import (
 )
 from wickweights.algebra import N, Poly, RatFunc, solve_linear_system
 from wickweights.combinatorics import partitions_of, set_partitions
-from wickweights.integrate import integrate_monomial
+from wickweights.integrate import integrate_gram_product, integrate_monomial
 from wickweights.weights import solve_weight, unit_weight, weighted_moment
 from wickweights.wick import (
     entry_moment,
-    gram_product_moment,
     moment_with_invariants,
 )
 
@@ -197,24 +196,22 @@ def test_integrate_monomial_matches_reference_expansion(ens):
 ENTRY_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "entry_moments.json"
 
 
-def test_entry_moment_fixture_recomputed(monkeypatch):
+def test_entry_moment_fixture_recomputed():
     # integrals of the former pairing-walk engine, recomputed from nothing:
     # every ensemble, the unit weight and kappa 1-3 up to degree 8 with
     # free, concrete and repeated labels, the CLI benchmark's six monomials
     # and orthogonal kappa=4 M[1,1]^8
     from wickweights import wick
 
-    for memo in ("_trace_memo", "_structures_memo"):
-        monkeypatch.setattr(wick, memo, {})
-    wick._fillings.cache_clear()
-    wick._jack_table.cache_clear()
+    for memo in (wick._loop_numerator, wick._trace_moment, wick._structures, wick._fillings, wick._jack_table):
+        memo.cache_clear()
     entries = json.loads(ENTRY_FIXTURE.read_text())
     assert len(entries) == 336
     weights = {}
     for e in entries:
         ens, kappa = Ensemble(e["ensemble"]), e["kappa"]
         if (ens, kappa) not in weights:
-            weights[ens, kappa] = solve_weight(ens, kappa, use_disk=False) if kappa else unit_weight(ens)
+            weights[ens, kappa] = solve_weight(ens, kappa) if kappa else unit_weight(ens)
         got = integrate_monomial(weights[ens, kappa], MonomialSpec.parse(e["monomial"]))
         assert got == expansion_from_json(e["expansion"]), (e["ensemble"], kappa, e["monomial"])
 
@@ -252,7 +249,7 @@ def test_class_solve_matches_reference_matrix(orthogonal, k):
 
 def test_coe_degree_12_literal():
     # COE kappa=2 (M[1,1] Mc[1,1])^6, as the hyperoctahedral class matrix gave it
-    w = solve_weight(Ensemble.COE, 2, use_disk=False)
+    w = solve_weight(Ensemble.COE, 2)
     got = integrate_monomial(w, MonomialSpec.parse(" ".join(["M[1,1] Mc[1,1]"] * 6)))
     assert got.as_ratfunc() == RatFunc(46080 * (N - 27), (N + 1) ** 6 * (N + 3))
 
@@ -322,26 +319,29 @@ def test_trace_moment_growth_degree():
             assert f.num.lc > 0
 
 
-def test_trace_moment_memoized_and_cached(tmp_path, monkeypatch):
-    monkeypatch.setenv("WICKWEIGHTS_CACHE_DIR", str(tmp_path))
+def test_trace_moment_memoized_and_cached(tmp_path):
     from wickweights import wick
 
-    key = (Ensemble.ORTHOGONAL, (2, 1))
-    wick._trace_memo.pop(key, None)
+    wick._trace_moment.cache_clear()
     a = gaussian_trace_moment(Ensemble.ORTHOGONAL, [(2, 1)])
-    assert key in wick._trace_memo
-    assert gaussian_trace_moment(Ensemble.ORTHOGONAL, [(2,), (1,)]) == a
+    assert wick._trace_moment.cache_info().currsize == 1
+    # the same multiset in another order is a cache hit: the very object,
+    # not a rebuilt and re-reduced RatFunc
+    again = gaussian_trace_moment(Ensemble.ORTHOGONAL, [(2,), (1,)])
+    assert again is a
+    assert wick._trace_moment.cache_info().hits == 1
     assert not any(tmp_path.iterdir())  # trace moments never touch the disk
 
 
 TRACE_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "trace_moments.json"
 
 
-def test_trace_moment_fixture_recomputed(monkeypatch):
+def test_trace_moment_fixture_recomputed():
     # values of the former pairing-sum engine, up to degree 16, recomputed cold
     from wickweights import wick
 
-    monkeypatch.setattr(wick, "_trace_memo", {})
+    wick._loop_numerator.cache_clear()
+    wick._trace_moment.cache_clear()
     entries = json.loads(TRACE_FIXTURE.read_text())
     assert len(entries) == 271
     for e in entries:
@@ -396,14 +396,14 @@ def test_gram_product_matches_open_kernel(ens):
     for w, k in cases:
         slots, _ = gram_product_slots(ens, k)
         want = weighted_moment(w, slots)
-        assert gram_product_moment(ens, w.coefficients, k) == want, (w.kappa, k)
+        assert integrate_gram_product(w, k) == want, (w.kappa, k)
 
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
 def test_gram_product_matches_reference_expansion(ens):
     for k in (1, 2, 3):
         slots, _ = gram_product_slots(ens, k)
-        assert gram_product_moment(ens, {(): RatFunc(1)}, k) == reference_expansion(ens, slots), k
+        assert integrate_gram_product(unit_weight(ens), k) == reference_expansion(ens, slots), k
 
 
 # -- connected parts -----------------------------------------------------------------
