@@ -20,11 +20,13 @@ Two value types live here:
 
 Every operation is exact; nothing in this module touches floating point.
 ``solve_linear_system`` works by modular evaluation: it solves the system
-modulo 61-bit primes at pseudo-random points N = x, rebuilds each unknown
-as a rational function by interpolation and rational reconstruction, and
-lifts its coefficients to Q.  Intermediate values stay one machine word
-wide however large the exact elimination would grow, and the result is
-returned only after an exact check A x == b in ``Poly`` arithmetic.
+modulo a 61-bit prime at pseudo-random points N = x, by forward
+elimination and back-substitution, rebuilds each unknown as a rational
+function by interpolation and rational reconstruction, and lifts its
+coefficients to Q.  Intermediate values stay one machine word wide however
+large the exact elimination would grow.  The first lift that passes an
+exact check A x == b in ``Poly`` arithmetic is returned; further primes
+are joined only when the check fails.
 """
 
 from __future__ import annotations
@@ -410,7 +412,7 @@ class RatFunc:
 def _common_denominator(dens: Iterable[Poly]) -> Poly:
     """A least common multiple of the denominators."""
     common = _ONE
-    for d in dens:
+    for d in dict.fromkeys(dens):
         if d != _ONE:
             common = common * d.divexact(poly_gcd(common, d))
     return common
@@ -541,7 +543,11 @@ def _mqrr(m: list[int], u: list[int], p: int) -> tuple[list[int], list[int]] | N
 
 
 def _solve_at(rows: list[list[list[int]]], x: int, p: int) -> list[int] | None:
-    """Solution of the augmented rows at N = x mod p by Gauss-Jordan; None if singular there."""
+    """Solution of the augmented rows at N = x mod p; None if singular there.
+
+    Forward elimination clears each column below its pivot only, about n^3/3
+    updates, and back-substitution then takes about n^2 more.
+    """
     powers = [1]
     for _ in range(max(len(e) for row in rows for e in row) - 1):
         powers.append(powers[-1] * x % p)
@@ -553,12 +559,15 @@ def _solve_at(rows: list[list[list[int]]], x: int, p: int) -> list[int] | None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = pow(aug[col][col], -1, p)
-        head = aug[col][col:] = [v * inv % p for v in aug[col][col:]]
-        for r in range(n):
+        head = aug[col][col + 1:] = [v * inv % p for v in aug[col][col + 1:]]
+        for r in range(col + 1, n):
             f = aug[r][col]
-            if f and r != col:
-                aug[r][col:] = [(a - f * b) % p for a, b in zip(aug[r][col:], head)]
-    return [row[n] for row in aug]
+            if f:
+                aug[r][col + 1:] = [(a - f * b) % p for a, b in zip(aug[r][col + 1:], head)]
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        out[i] = (aug[i][n] - sum(map(mul, aug[i][i + 1:n], out[i + 1:]))) % p
+    return out
 
 
 def _images_mod(rows, p: int, rng: random.Random, start: int, confirm: int, det_degree: int):
@@ -684,11 +693,12 @@ def solve_linear_system(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFu
     solved mod p = 2^61 - 1 at pseudo-random points N = x, and each unknown
     is rebuilt from its values as a rational function mod p with a monic
     denominator (_images_mod).  Its coefficients are lifted to Q by Wang's
-    rational reconstruction, combining further primes by the Chinese
-    remainder theorem until two successive lifts agree.  A lift is returned
-    only if it satisfies the cleared system exactly in Poly arithmetic;
-    otherwise the solve starts over on fresh primes, with one more agreeing
-    point asked of each candidate.
+    rational reconstruction, and every lift is checked against the cleared
+    system exactly in Poly arithmetic.  The first lift that passes is
+    returned, so a system whose coefficients fit one prime needs one.  A
+    lift that fails is joined with a further prime by the Chinese remainder
+    theorem; a failing lift equal to the one before starts the solve over
+    on fresh primes, with one more agreeing point asked of each candidate.
 
     Raises SingularMatrixError if the matrix is identically singular.  That
     rests on proof: det A has degree at most D and coefficients at most B
@@ -729,11 +739,12 @@ def solve_linear_system(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFu
         modulus *= p
         start = max(2, *(a + b for a, b in shape))
         lift = _lift(residues, modulus)
-        if lift is None or lift != last:
-            last = lift
-            continue
-        x = [_as_ratfunc(num, den) for num, den in lift]
-        if _satisfies(cleared, x):
-            return x
-        confirm += 1
-        modulus, residues, shape, last = 1, None, None, None
+        if lift is not None:
+            x = [_as_ratfunc(num, den) for num, den in lift]
+            if _satisfies(cleared, x):
+                return x
+            if lift == last:
+                confirm += 1
+                modulus, residues, shape, last = 1, None, None, None
+                continue
+        last = lift

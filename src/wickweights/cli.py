@@ -100,21 +100,20 @@ def _cmd_integrate(args) -> int:
     if args.format == "json":
         json.dump(expansion.to_json(), sys.stdout, indent=2)
         print()
-    elif monomial.is_concrete():
-        value = expansion.as_ratfunc()
-        print(value)
-        if args.at is not None:
-            exact = value.eval(args.at)
-            print(f"= {exact} = {float(exact):.12g} at N = {args.at}")
     else:
-        if not expansion:
-            print("0")
-        for structure, coeff in expansion.items():
-            print(f"  {structure_label(structure):30s} {coeff}")
-        if args.at is not None:
-            print(f"-- coefficients at N = {args.at}:")
-            for _, coeff in expansion.items():
-                print(f"  {coeff.eval(args.at)}")
+        # every line is formed before the first is printed: a pole at --at prints nothing
+        if monomial.is_concrete():
+            value = expansion.as_ratfunc()
+            lines = [str(value)]
+            if args.at is not None:
+                exact = value.eval(args.at)
+                lines.append(f"= {exact} = {float(exact):.12g} at N = {args.at}")
+        else:
+            lines = [f"  {structure_label(s):30s} {c}" for s, c in expansion.items()] or ["0"]
+            if args.at is not None:
+                lines.append(f"-- coefficients at N = {args.at}:")
+                lines += [f"  {c.eval(args.at)}" for _, c in expansion.items()]
+        print("\n".join(lines))
     return 0
 
 

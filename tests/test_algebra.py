@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -177,6 +179,25 @@ def test_solve_large_coefficient_needs_crt(monkeypatch):
     assert len(joins) >= 2
 
 
+_WEIGHTS = json.loads((pathlib.Path(__file__).resolve().parent / "data" / "weights.json").read_text())
+
+
+@pytest.mark.parametrize("table", _WEIGHTS, ids=lambda t: f"{t['ensemble']}-k{t['kappa']}")
+def test_solve_gram_system_with_one_prime(monkeypatch, table):
+    # the Gram coefficients fit one 61-bit prime: one set of images, one exact check
+    from wickweights.weights import WeightFunction, build_gram_system
+
+    want = WeightFunction.from_json(table)
+    system = build_gram_system(want.ensemble, want.kappa)
+    images, satisfies = algebra._images_mod, algebra._satisfies
+    calls = []
+    monkeypatch.setattr(algebra, "_images_mod", lambda *a: calls.append("images") or images(*a))
+    monkeypatch.setattr(algebra, "_satisfies", lambda *a: calls.append("check") or satisfies(*a))
+    x = solve_linear_system(system.matrix, system.rhs)
+    assert x == [want.coefficient(p) for p in system.partitions]
+    assert calls == ["images", "check"]
+
+
 def test_solve_singular_depending_on_n():
     with pytest.raises(SingularMatrixError):
         solve_linear_system([[RatFunc(N), RatFunc(N * N)], [RatFunc(1), RatFunc(N)]],
@@ -199,6 +220,29 @@ def test_solve_unitary_class_system_cramer():
     det = _det3(mat)
     cramer = [_det3([row[:j] + [b] + row[j + 1:] for row, b in zip(mat, rhs)]) / det for j in range(3)]
     assert solve_linear_system(mat, rhs) == cramer
+
+
+def _cyclic(a, b, c):
+    return [[RatFunc(0), a, RatFunc(0)], [RatFunc(0), RatFunc(0), b], [c, RatFunc(0), RatFunc(0)]]
+
+
+def _upper_rows_reversed(a, b, c):
+    return [[RatFunc(0), RatFunc(0), c], [RatFunc(0), b, a + c], [a, RatFunc(N), b]]
+
+
+def _lower_rows_rotated(a, b, c):
+    return [[RatFunc(0), b, c], [a, RatFunc(0), RatFunc(0)], [c, RatFunc(N - 3), RatFunc(0)]]
+
+
+@pytest.mark.parametrize("shape", [_cyclic, _upper_rows_reversed, _lower_rows_rotated])
+def test_solve_back_substitution_after_pivoting(shape):
+    # the leading entry is 0 at every point, so the first pivot is a row swap
+    mat = shape(RatFunc(N + 1), RatFunc(N * N, 2 * N - 1), RatFunc(3, N + 2))
+    x = [RatFunc(N - 5, N + 4), RatFunc(2), RatFunc(N * N + 1, 3 * N)]
+    rhs = [sum((e * v for e, v in zip(row, x)), RatFunc(0)) for row in mat]
+    det = _det3(mat)
+    cramer = [_det3([row[:j] + [b] + row[j + 1:] for row, b in zip(mat, rhs)]) / det for j in range(3)]
+    assert solve_linear_system(mat, rhs) == cramer == x
 
 
 def _cramer_2x2_case():
@@ -224,8 +268,8 @@ def test_solve_survives_a_wrong_interpolant(monkeypatch):
 
 @pytest.mark.parametrize("wrong_lifts", [1, 2])
 def test_solve_survives_a_wrong_lift(monkeypatch, wrong_lifts):
-    # one wrong lift disagrees with the next; two equal wrong lifts are
-    # rejected by the exact check A x == b, and the solve starts over
+    # the exact check A x == b rejects a wrong lift: after one, the next
+    # prime's lift is returned; after two equal ones, the solve starts over
     mat, rhs, expect = _cramer_2x2_case()
     lifts, checks = [], []
     lift, satisfies = algebra._lift, algebra._satisfies
@@ -241,7 +285,7 @@ def test_solve_survives_a_wrong_lift(monkeypatch, wrong_lifts):
     monkeypatch.setattr(algebra, "_lift", wrong_lift)
     monkeypatch.setattr(algebra, "_satisfies", lambda *a: checks.append(satisfies(*a)) or checks[-1])
     assert solve_linear_system(mat, rhs) == expect
-    assert checks == ([False, True] if wrong_lifts == 2 else [True])
+    assert checks == ([False, False, True] if wrong_lifts == 2 else [False, True])
 
 
 def test_primes():

@@ -143,9 +143,13 @@ def test_integrate_rejects_conjugation_for_orthogonal(capsys):
 
 
 def test_integrate_pole_reported(capsys):
-    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
-                       "--monomial", "M[1,1] M[1,1] M[1,1] M[1,1]", "--at", "-2")
-    assert code == 2 and "N + 2" in err
+    # a pole is found before anything is printed, for concrete and symbolic monomials
+    for monomial, at, factor in (("M[1,1] M[1,1] M[1,1] M[1,1]", "-2", "N + 2"),
+                                 ("M[1,1] M[1,1]", "0", "factor N "),
+                                 ("M[i,j] M[k,l]", "0", "factor N ")):
+        code, out, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
+                             "--monomial", monomial, "--at", at)
+        assert code == 2 and out == "" and factor in err
 
 
 def test_verify_commands(capsys):
