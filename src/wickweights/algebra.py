@@ -581,8 +581,18 @@ def _images_mod(rows, p: int, rng: random.Random, start: int, confirm: int, det_
     candidate has agreed with confirm later points.  det A, of degree at
     most det_degree, vanishes mod p if the system is singular at more than
     det_degree distinct points.
+
+    Each unknown is det_j / det by Cramer's rule: its numerator has degree
+    at most the sum of the row degrees (right-hand side included), its
+    denominator at most det_degree.  From twice their sum plus 2 points on,
+    _mqrr's quotient for the true function outweighs all others together,
+    so the first rebuild from that many points finds it, and confirm points
+    later it is returned.  More nonsingular points than that mean the
+    solves are not the values of one rational function: ArithmeticError.
     """
     n = len(rows)
+    enough = 2 * (sum(max(1, *map(len, row)) - 1 for row in rows) + det_degree) + 2
+    cap = max(start, enough + enough // 4) + confirm
     xs: list[int] = []
     newton: list[list[int]] = [[] for _ in range(n)]
     cands: list[list | None] = [None] * n
@@ -615,6 +625,8 @@ def _images_mod(rows, p: int, rng: random.Random, start: int, confirm: int, det_
                 acc = (acc * d + c) % p
             coeffs.append((v - acc) * winv % p)
         xs.append(x)
+        if len(xs) > cap:
+            raise ArithmeticError(f"no solution mod {p} from {cap} nonsingular points, the most its degrees allow")
         if len(xs) < target:
             continue
         target = len(xs) + 1 + len(xs) // 4
@@ -679,11 +691,6 @@ def _satisfies(cleared: list[tuple[list[Poly], Poly]], x: list[RatFunc]) -> bool
     common = _common_denominator(v.den for v in x)
     scaled = [v.num * common.divexact(v.den) for v in x]
     return all(sum((a * v for a, v in zip(row, scaled)), _ZERO) == b * common for row, b in cleared)
-
-
-def satisfies(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFunc], x: Sequence[RatFunc]) -> bool:
-    """A x == b exactly: the check solve_linear_system makes before it returns."""
-    return _satisfies([_clear_row(row, b) for row, b in zip(matrix, rhs)], x)
 
 
 def solve_linear_system(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFunc]) -> list[RatFunc]:

@@ -1,5 +1,7 @@
 """Disk cache for solved weight tables.
 
+The engine no longer uses it; it stays only because perfbench/ imports it.
+
 Location: $WICKWEIGHTS_CACHE_DIR if set, else $XDG_CACHE_HOME/wickweights,
 else ~/.cache/wickweights.  Writes go through a temp file and an atomic
 rename so concurrent producers of the same value cannot leave a torn file.

@@ -10,8 +10,8 @@ sample     Monte Carlo estimate of a concrete monomial, optionally checked
 
 Exit codes: 0 success, 1 failed verification or cross-check, 2 usage error.
 Symbolic output is deterministic; sampling output is reproducible for a
-fixed seed.  The weight cache directory can be moved with the environment
-variable WICKWEIGHTS_CACHE_DIR (default: ~/.cache/wickweights).
+fixed seed.  Every result is computed in the run that prints it: nothing is
+read from or written to disk.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cache
 from .algebra import PoleError, RatFunc
 from .combinatorics import check_partition, partition_label, structure_label
 from .integrate import error_order, integrate_monomial
@@ -161,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wickweights",
         description="Exact Wick-contraction integration over O(N), U(N) and the COE.",
-        epilog=f"Weight tables are cached under $" + cache.ENV_VAR + " (default ~/.cache/wickweights).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (PoleError, ValueError, ZeroDivisionError) as exc:
+    except (PoleError, RecursionError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

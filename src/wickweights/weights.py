@@ -9,20 +9,16 @@ matrix of the system is the table of Gaussian cross-moments of the
 invariants, which is positive definite, so the solution exists and is
 unique.
 
-Solved weights are cached on disk keyed by (ensemble, kappa).  A weight is
-returned only after the exact check A x == b against its Gram system: a
-fresh solve passes the solver's own check before it is returned or stored,
-and a cached table is checked against a freshly built system before it is
-served, so a malformed, stale or edited file is solved again and
-overwritten.
+Every weight is solved in the run that asks for it, and nothing is read
+from or written to disk: solve_weight returns only a solution that has
+passed the exact check A x == b against its Gram system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import cache
-from .algebra import RatFunc, satisfies, solve_linear_system
+from .algebra import RatFunc, solve_linear_system
 from .combinatorics import Partition, enumerate_partitions, partition_label
 from .wick import (
     DeltaExpansion,
@@ -109,43 +105,15 @@ def unit_weight(ensemble: Ensemble) -> WeightFunction:
     return WeightFunction(ensemble, 0, {(): RatFunc(1)})
 
 
-def _cache_name(ensemble: Ensemble, kappa: int) -> str:
-    return f"weight_{ensemble.value}_k{kappa}.json"
-
-
-def _cached_weight(system: GramSystem) -> WeightFunction | None:
-    """The cached table for the system if it parses and solves it exactly, else None."""
-    obj = cache.load_json(_cache_name(system.ensemble, system.kappa))
-    if obj is None:
-        return None
-    try:
-        weight = WeightFunction.from_json(obj)
-        x = [weight.coefficients[p] for p in system.partitions]
-    except (LookupError, TypeError, ValueError, ZeroDivisionError):
-        return None
-    if (weight.ensemble, weight.kappa, len(weight.coefficients)) != (system.ensemble, system.kappa, len(x)):
-        return None
-    return weight if satisfies(system.matrix, system.rhs, x) else None
-
-
 def solve_weight(ensemble: Ensemble, kappa: int) -> WeightFunction:
     """Build and solve the defining system for w_kappa.
 
-    The Gram system is always built first.  A stored table is served only
-    if it passes the exact check A x == b against it; anything else is a
-    miss, solved again and stored over the old file.  A fresh solve
-    satisfies the defining conditions exactly: solve_linear_system returns
-    no solution that has not passed the same check.
+    The solution satisfies the defining conditions exactly:
+    solve_linear_system returns none that has not passed the check A x == b.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
     system = build_gram_system(ensemble, kappa)
-    weight = _cached_weight(system)
-    if weight is None:
-        solution = solve_linear_system(system.matrix, system.rhs)
-        weight = WeightFunction(ensemble, kappa, dict(zip(system.partitions, solution)))
-        cache.store_json(_cache_name(ensemble, kappa), weight.to_json())
-    return weight
+    solution = solve_linear_system(system.matrix, system.rhs)
+    return WeightFunction(ensemble, kappa, dict(zip(system.partitions, solution)))
 
 
 def weighted_moment(weight: WeightFunction, slots: list[Slot]) -> DeltaExpansion:
@@ -188,8 +156,7 @@ def verify_conditions(weight: WeightFunction, k: int) -> ConditionReport:
     exactly when every class coefficient equals [mu = 1^k]
     (wick.gram_class_residual); no index structure is expanded.  For
     k <= kappa the class targets are rows of the weight's own Gram system,
-    so the check follows from the solve, and solve_weight serves a cached
-    table only after the same exact check.  The independent evidence that
+    so the check follows from the solve.  The independent evidence that
     the reduction is right is the test suite's comparison with the
     brute-force pairing sum of tests/helpers.py and with the stored
     expansions of the former pairing-walk engine.

@@ -253,8 +253,8 @@ def gaussian_trace_moment(
 
     The moment depends only on the multiset of the k_i, and each multiset
     is built and reduced once per process: every later call returns the
-    same RatFunc.  use_disk is accepted for older callers and ignored:
-    trace moments are never stored on disk.
+    same RatFunc.  use_disk is ignored; it is kept only because
+    perfbench/test_reference.py passes it.
     """
     return _trace_moment(ensemble, tuple(sorted((x for p in invariants for x in check_partition(p)), reverse=True)))
 

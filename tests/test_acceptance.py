@@ -1,8 +1,8 @@
 """Acceptance gate for the weighted-contraction scheme.
 
 One test per criterion; each prints a single PASS/FAIL line (visible with
-pytest -s, and implicit in the test outcome).  Everything is computed from
-an empty cache: the order-4 weight tables come from loop-equation trace
+pytest -s, and implicit in the test outcome).  Everything is computed in
+the run: the order-4 weight tables come from loop-equation trace
 moments and the Gram products, up to the degree-18 stretch case, by
 invariance, each in under a second.  The Monte Carlo check of criterion 7
 is the slowest test, at about 7 s: each of its 6 x 10^6 samples draws only

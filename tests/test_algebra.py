@@ -288,6 +288,25 @@ def test_solve_survives_a_wrong_lift(monkeypatch, wrong_lifts):
     assert checks == ([False, False, True] if wrong_lifts == 2 else [False, True])
 
 
+def test_solve_fails_when_the_points_disagree(monkeypatch):
+    # values of no rational function, one unknown off at every other point,
+    # raise once the points pass what the system's degrees allow
+    mat, rhs, _ = _cramer_2x2_case()
+    solve_at, points = algebra._solve_at, []
+
+    def corrupt(rows, x, p):
+        out = solve_at(rows, x, p)
+        points.append(x)
+        if out is not None and len(points) % 2 == 0:
+            out[0] = (out[0] + 1) % p
+        return out
+
+    monkeypatch.setattr(algebra, "_solve_at", corrupt)
+    with pytest.raises(ArithmeticError, match="nonsingular points"):
+        solve_linear_system(mat, rhs)
+    assert len(points) < 100
+
+
 def test_primes():
     small = [n for n in range(2000) if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))]
     assert [n for n in range(2000) if algebra._is_prime(n)] == small

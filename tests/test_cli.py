@@ -4,8 +4,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 from wickweights.cli import main
 
 
@@ -13,6 +11,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _run_python(code: str, timeout: int = 120) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports the package from src/."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_weights_text(capsys):
@@ -82,6 +87,13 @@ def test_moment_command(capsys):
 def test_moment_parse_error(capsys):
     code, _, err = run(capsys, "moment", "--ensemble", "orthogonal", "--invariants", "2,x")
     assert code == 2 and "error" in err
+
+
+def test_moment_too_deep_is_usage_error(capsys):
+    # the loop equation recurses once per unit of trace power
+    code, out, err = run(capsys, "moment", "--ensemble", "unitary", "--invariants", "1200")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_integrate_concrete(capsys):
@@ -217,9 +229,7 @@ def test_import_without_numpy():
         "from wickweights import mc_integrate\n"
         "assert 'numpy' in sys.modules and callable(mc_integrate)\n"
     )
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_python(code, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -230,43 +240,49 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-@pytest.mark.parametrize("content", ['{"schema": 1, "payload": {}}', "[]", '{"schema": 1, "payload": '
-                                     '{"ensemble": "orthogonal", "kappa": 2, "coefficients": []}}',
-                                     pytest.param("[" * 200000 + "]" * 200000, id="deeply-nested")])
-def test_malformed_cached_weight_is_solved_again(tmp_path, capsys, content):
-    from wickweights.weights import WeightFunction, solve_weight
+def test_run_touches_no_disk(tmp_path, monkeypatch, capsys):
+    # every place a weight cache could live is one empty directory; nothing
+    # is written there, and tables planted there are not read
+    from wickweights.algebra import N, RatFunc, solve_linear_system
+    from wickweights.weights import WeightFunction, build_gram_system
     from wickweights.wick import Ensemble
 
-    want = solve_weight(Ensemble.ORTHOGONAL, 2)  # solved from the empty cache, then overwritten below
-    path = tmp_path / "weight_orthogonal_k2.json"
-    path.write_text(content)
-    code, out, _ = run(capsys, "weights", "--ensemble", "orthogonal", "--kappa", "2", "--format", "json")
-    assert code == 0
-    assert WeightFunction.from_json(json.loads(out)) == want
-    assert WeightFunction.from_json(json.loads(path.read_text())["payload"]) == want  # overwritten
+    for var in ("WICKWEIGHTS_CACHE_DIR", "XDG_CACHE_HOME", "HOME"):
+        monkeypatch.setenv(var, str(tmp_path))
+    commands = [
+        ("weights", "--ensemble", "orthogonal", "--kappa", "2", "--format", "json"),
+        ("verify", "--ensemble", "orthogonal", "--kappa", "2"),
+        ("integrate", "--ensemble", "orthogonal", "--kappa", "2", "--monomial", "M[1,1] M[1,1]"),
+    ]
+    outputs = [run(capsys, *argv) for argv in commands]
+    assert not any(tmp_path.iterdir())
+    s = build_gram_system(Ensemble.ORTHOGONAL, 2)
+    fresh = WeightFunction(Ensemble.ORTHOGONAL, 2, dict(zip(s.partitions, solve_linear_system(s.matrix, s.rhs))))
+    assert outputs[0] == (0, json.dumps(fresh.to_json(), indent=2) + "\n", "")
+    assert outputs[1][0] == 0 and "FAILED" not in outputs[1][1]
+    assert outputs[2] == (0, f"{RatFunc(1, N)}\n", "")
 
-
-def test_wrong_cached_weight_is_solved_again(tmp_path, capsys):
-    # one coefficient of a well-formed table changed: served, it would make
-    # verify fail and the degree-2 integral wrong
-    from wickweights.algebra import N, RatFunc
-
-    path = tmp_path / "weight_orthogonal_k2.json"
-    for command in ("verify", "integrate"):
-        assert run(capsys, "weights", "--ensemble", "orthogonal", "--kappa", "2")[0] == 0
-        obj = json.loads(path.read_text())
-        assert obj["payload"]["coefficients"][1]["partition"] == [1]
-        obj["payload"]["coefficients"][1]["value"] = RatFunc(N + 1, 2).to_json()
-        path.write_text(json.dumps(obj))
-        if command == "verify":
-            code, out, _ = run(capsys, "verify", "--ensemble", "orthogonal", "--kappa", "2")
-            assert code == 0 and "FAILED" not in out
-        else:
-            code, out, _ = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
-                               "--monomial", "M[1,1] M[1,1]")
-            assert code == 0 and out.strip() == str(RatFunc(1, N))
-        stored = json.loads(path.read_text())["payload"]["coefficients"][1]["value"]
-        assert RatFunc.from_json(stored) == RatFunc(N, 2)
+    # a well-formed table with a_(1) = (N + 1)/2 for N/2, and a truncated file
+    wrong = fresh.to_json()
+    assert wrong["coefficients"][1]["partition"] == [1]
+    wrong["coefficients"][1]["value"] = RatFunc(N + 1, 2).to_json()
+    planted = {
+        tmp_path / "weight_orthogonal_k2.json": json.dumps({"schema": 1, "payload": wrong}).encode(),
+        tmp_path / "wickweights" / "weight_orthogonal_k2.json": b'{"schema": 1, "payload": ',
+    }
+    for path, content in planted.items():
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(content)
+    assert [run(capsys, *argv) for argv in commands] == outputs
+    proc = _run_python(
+        "import sys\n"
+        "from wickweights.cli import main\n"
+        "assert main(['verify', '--ensemble', 'orthogonal', '--kappa', '2']) == 0\n"
+        "assert 'wickweights.cache' not in sys.modules, 'wickweights.cache imported'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == outputs[1][1]
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == planted
 
 
 def test_integrate_kappa_4_degree_8_without_worker_processes():
@@ -281,8 +297,6 @@ def test_integrate_kappa_4_degree_8_without_worker_processes():
         "assert rc == 0, rc\n"
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
     )
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(RatFunc(105, N * (N + 2) * (N + 4) * (N + 6)))

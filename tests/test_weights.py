@@ -152,14 +152,6 @@ def test_weight_k5_k6_fixture_recomputed():
     ]
 
 
-def test_weight_disk_cache(tmp_path):
-    a = solve_weight(Ensemble.ORTHOGONAL, 2)
-    assert (tmp_path / "weight_orthogonal_k2.json").exists()
-    # second call loads from disk and agrees
-    b = solve_weight(Ensemble.ORTHOGONAL, 2)
-    assert a == b
-
-
 def _leading_minors_positive(matrix, n_value: int) -> bool:
     vals = [[e.eval(n_value) for e in row] for row in matrix]
     size = len(vals)
