@@ -19,6 +19,11 @@ Two value types live here:
     compared with ``==`` instead of ad-hoc simplification.
 
 Every operation is exact; nothing in this module touches floating point.
+One Euclidean algorithm serves both types: ``poly_gcd``, which keeps every
+``RatFunc`` reduced, runs Euclid modulo the solve's primes, joins the
+images by the Chinese remainder theorem and returns a lift only once it
+divides both arguments exactly.
+
 ``solve_linear_system`` works by modular evaluation: it solves the system
 modulo a 61-bit prime at pseudo-random points N = x, by forward
 elimination and back-substitution, rebuilds each unknown as a rational
@@ -53,11 +58,11 @@ class SingularMatrixError(ArithmeticError):
     """Raised for an identically singular linear system."""
 
 
-def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+def _trim(a: list[int]) -> list[int]:
+    """a without its trailing zeros, in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 class Poly:
@@ -66,7 +71,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs = _strip(tuple(int(c) for c in coeffs))
+        self.coeffs = tuple(_trim([int(c) for c in coeffs]))
 
     # -- construction helpers -------------------------------------------------
 
@@ -230,47 +235,56 @@ _ZERO = Poly()
 _ONE = Poly((1,))
 
 
-def _pseudo_rem(a: Poly, b: Poly) -> Poly:
-    """Pseudo-remainder of a by b: lc(b)^(deg a - deg b + 1) * a mod b."""
-    rem = list(a.coeffs)
-    d = b.degree
-    lcb = b.lc
-    while len(rem) - 1 >= d and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < d:
-            break
-        top = rem[-1]
-        shift = len(rem) - 1 - d
-        rem = [c * lcb for c in rem]
-        for j, oc in enumerate(b.coeffs):
-            rem[shift + j] -= top * oc
-        rem.pop()
-    return Poly(rem)
+def _primitive(a: Poly) -> Poly:
+    """a over the gcd of its coefficients, signed to a positive leading coefficient."""
+    c = a.content() * (1 if a.lc > 0 else -1)
+    return a if c in (0, 1) else Poly(x // c for x in a.coeffs)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd over Q with positive leading coefficient (primitive PRS)."""
-    if not a:
-        a, b = b, a
-    if not b:
-        if not a:
-            return Poly()
-        g = a.content()
-        p = a.divexact(Poly.const(g if a.lc > 0 else -g))
-        return p
-    a = a.divexact(Poly.const(a.content() * (1 if a.lc > 0 else -1)))
-    b = b.divexact(Poly.const(b.content() * (1 if b.lc > 0 else -1)))
-    if a.degree < b.degree:
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, r
-        if b:
-            b = b.divexact(Poly.const(b.content() * (1 if b.lc > 0 else -1)))
-    if a.lc < 0:
-        a = -a
-    return a
+    """Primitive gcd over Q with positive leading coefficient (zero for two
+    zeros), by Euclid modulo the solve's primes (Brown's modular gcd; von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 6).
+
+    Let g be the true gcd and gamma = gcd(lc a, lc b), which lc g divides.
+    Modulo a prime p dividing neither leading coefficient, g keeps its
+    degree and divides a and b, so the gcd mod p has at least that degree:
+    degree 0 proves g = 1.  For all but finitely many such p it is g mod p
+    up to a unit, and gamma times its monic form is (gamma / lc g) g mod p.
+    So images of the lowest degree seen are kept (a lower degree starts
+    over, a higher one is skipped) and joined by the Chinese remainder
+    theorem, and the symmetric lift's primitive part is returned once it
+    divides a and b exactly: a common divisor of at least g's degree is g
+    up to a constant.  The lift is right once the modulus exceeds twice the
+    largest coefficient of (gamma / lc g) g, so the loop ends.
+    """
+    if not a or not b:
+        return _primitive(a or b)
+    gamma = gcd(a.lc, b.lc)
+    modulus, image = 1, None
+    for p in map(_prime, count()):
+        if a.lc % p == 0 or b.lc % p == 0:
+            continue
+        r0, r1 = [c % p for c in a.coeffs], [c % p for c in b.coeffs]
+        while r1:
+            r0, r1 = r1, _divmod_p(r0, r1, p)[1]
+        if len(r0) == 1:
+            return _ONE
+        scale = gamma * pow(r0[-1], -1, p) % p
+        r0 = [c * scale % p for c in r0]
+        if image is None or len(r0) < len(image):
+            modulus, image = p, r0
+        elif len(r0) == len(image):
+            [(image,)] = _crt([(image,)], modulus, [(r0,)], p)
+            modulus *= p
+        else:
+            continue
+        g = _primitive(Poly(c - modulus if 2 * c > modulus else c for c in image))
+        try:
+            a.divexact(g), b.divexact(g)
+        except ValueError:
+            continue
+        return g
 
 
 def _as_poly(x) -> Poly:
@@ -299,17 +313,12 @@ class RatFunc:
             self.num, self.den = _ZERO, _ONE
             return
         g = poly_gcd(num, den)
-        if g.degree > 0 or g.lc != 1:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        c = gcd(num.content(), den.content())
-        if den.lc < 0:
-            c = -c
+        if g != _ONE:
+            num, den = num.divexact(g), den.divexact(g)
+        c = gcd(num.content(), den.content()) * (1 if den.lc > 0 else -1)
         if c != 1:
-            num = num.divexact(Poly.const(c))
-            den = den.divexact(Poly.const(c))
-        self.num = num
-        self.den = den
+            num, den = (Poly(x // c for x in f.coeffs) for f in (num, den))
+        self.num, self.den = num, den
 
     # -- constructors ------------------------------------------------------------
 
@@ -409,28 +418,22 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _common_denominator(dens: Iterable[Poly]) -> Poly:
-    """A least common multiple of the denominators."""
+def _clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly]]:
+    """A least common multiple of the denominators of fs, and each numerator over it."""
     common = _ONE
-    for d in dict.fromkeys(dens):
+    for d in dict.fromkeys(f.den for f in fs):
         if d != _ONE:
             common = common * d.divexact(poly_gcd(common, d))
-    return common
+    return common, [f.num * common.divexact(f.den) for f in fs]
 
 
 def linear_combination(terms: Iterable[tuple[int | Fraction, RatFunc]]) -> RatFunc:
     """sum of q * f over the terms (q, f), over one common denominator and
     reduced once, where a running sum would take a gcd at every step."""
     terms = list(terms)
-    den = _common_denominator(f.den for _, f in terms)
+    den, nums = _clear_denominators([f for _, f in terms])
     scale = lcm(*(Fraction(q).denominator for q, _ in terms))
-    return RatFunc(sum((f.num * den.divexact(f.den) * int(q * scale) for q, f in terms), _ZERO), den * scale)
-
-
-def _clear_row(row: Sequence[RatFunc], rhs: RatFunc) -> tuple[list[Poly], Poly]:
-    den = _common_denominator(e.den for e in (*row, rhs))
-    cleared = [e.num * den.divexact(e.den) for e in row]
-    return cleared, rhs.num * den.divexact(rhs.den)
+    return RatFunc(sum((n * int(q * scale) for (q, _), n in zip(terms, nums)), _ZERO), den * scale)
 
 
 #: The first modulus of the solve, a Mersenne prime.
@@ -472,12 +475,6 @@ def _prime(i: int) -> int:
 
 
 # -- polynomials mod p: ascending coefficient lists, trimmed ---------------------------
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _times_linear(a: list[int], x: int, p: int) -> list[int]:
@@ -680,17 +677,14 @@ def _lift(residues, modulus: int):
 
 
 def _as_ratfunc(num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
-    scale = 1
-    for c in (*num, *den):
-        scale = scale * c.denominator // gcd(scale, c.denominator)
+    scale = lcm(*(c.denominator for c in (*num, *den)))
     return RatFunc(Poly(c * scale for c in num), Poly(c * scale for c in den))
 
 
-def _satisfies(cleared: list[tuple[list[Poly], Poly]], x: list[RatFunc]) -> bool:
-    """A x == b exactly, on the cleared rows over one common denominator of x."""
-    common = _common_denominator(v.den for v in x)
-    scaled = [v.num * common.divexact(v.den) for v in x]
-    return all(sum((a * v for a, v in zip(row, scaled)), _ZERO) == b * common for row, b in cleared)
+def _satisfies(cleared: list[list[Poly]], x: list[RatFunc]) -> bool:
+    """A x == b exactly, on the cleared augmented rows over one common denominator of x."""
+    common, scaled = _clear_denominators(x)
+    return all(sum((a * v for a, v in zip(row, scaled)), _ZERO) == row[-1] * common for row in cleared)
 
 
 def solve_linear_system(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFunc]) -> list[RatFunc]:
@@ -719,17 +713,17 @@ def solve_linear_system(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFu
         return []
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("matrix must be square and match the right-hand side")
-    cleared = [_clear_row(row, b) for row, b in zip(matrix, rhs)]
+    cleared = [_clear_denominators((*row, b))[1] for row, b in zip(matrix, rhs)]
     det_degree = min(
-        sum(max(0, max(a.degree for a in row)) for row, _ in cleared),
-        sum(max(0, max(row[j].degree for row, _ in cleared)) for j in range(n)),
+        sum(max(0, max(a.degree for a in row[:n])) for row in cleared),
+        sum(max(0, max(row[j].degree for row in cleared)) for j in range(n)),
     )
-    det_bound = prod(sum(sum(map(abs, a.coeffs)) for a in row) for row, _ in cleared)
+    det_bound = prod(sum(sum(map(abs, a.coeffs)) for a in row[:n]) for row in cleared)
     rng = random.Random(_POINT_SEED)
     vanishing, confirm, start = 1, 1, 2
     modulus, residues, shape, last = 1, None, None, None
     for p in map(_prime, count()):
-        rows = [[[c % p for c in a.coeffs] for a in (*row, b)] for row, b in cleared]
+        rows = [[[c % p for c in a.coeffs] for a in row] for row in cleared]
         images = _images_mod(rows, p, rng, start, confirm, det_degree)
         if images is None:
             vanishing *= p

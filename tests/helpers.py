@@ -28,6 +28,10 @@ foundations:
   over whole delta expansions, with the arithmetic on expansions that the
   engine, which outputs expansions but never computes with them, does not
   carry.  The engine takes one cumulant per class of index structure.
+
+* prs_gcd: the polynomial gcd by the primitive pseudo-remainder sequence
+  over Z.  The engine's poly_gcd instead runs Euclid modulo primes and
+  lifts by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -483,3 +487,35 @@ def reference_class_matrix(orthogonal: bool, k: int, shift: int = 0) -> list[lis
     base = Poly((shift, 1))
     return [[RatFunc(sum((n * base ** loops for loops, n in cell.items()), Poly())) for cell in row]
             for row in _loop_table(orthogonal, k)]
+
+
+# -- polynomial gcd ----------------------------------------------------------------------
+
+
+def _primitive_part(a: Poly) -> Poly:
+    c = a.content() * (1 if a.lc > 0 else -1)
+    return Poly(x // c for x in a.coeffs)
+
+
+def _pseudo_remainder(a: Poly, b: Poly) -> Poly:
+    """lc(b)^(deg a - deg b + 1) a mod b, for deg a >= deg b >= 0."""
+    rem, d = list(a.coeffs), b.degree
+    for k in range(a.degree, d - 1, -1):
+        top = rem[k]
+        rem = [c * b.lc for c in rem]
+        for j, bc in enumerate(b.coeffs):
+            rem[k - d + j] -= top * bc
+    return Poly(rem[:d])
+
+
+def prs_gcd(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd with positive leading coefficient (zero for two zeros),
+    by the primitive pseudo-remainder sequence over Z."""
+    if a.degree < b.degree:
+        a, b = b, a
+    if not a:
+        return a
+    while b:
+        b = _primitive_part(b)
+        a, b = b, _pseudo_remainder(a, b)
+    return _primitive_part(a)

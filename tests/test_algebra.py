@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import prs_gcd
 
 from wickweights import algebra
 from wickweights.algebra import (
@@ -48,6 +49,61 @@ def test_poly_gcd():
     assert poly_gcd(-(N + 1), (N + 1) ** 2) == N + 1
 
 
+_P = 2**61 - 1  # the first prime of the solve and of the gcd
+
+
+def test_poly_gcd_large_coefficients_join_primes(monkeypatch):
+    # coefficients beyond 2^61 lift only from two or more primes joined by the CRT
+    joins = []
+    crt = algebra._crt
+    monkeypatch.setattr(algebra, "_crt", lambda *args: joins.append(1) or crt(*args))
+    big = (2**70 + 1) * N + 3
+    assert poly_gcd(big * (N + 1), big * (N - 2)) == big
+    assert joins
+
+
+def test_poly_gcd_unlucky_first_prime():
+    # N and N + P agree mod P, so the first image has degree 2, one too many
+    assert poly_gcd(N * (N + 1), (N + _P) * (N + 1)) == N + 1
+
+
+def test_poly_gcd_leading_coefficient_divisible_by_the_first_prime():
+    a = _P * N + 1
+    assert poly_gcd(a, a * (N + 2)) == a
+    assert poly_gcd(a * (N + 2), -a) == a
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (Poly(), Poly(), Poly()),
+    (Poly(), -6 * N - 4, 3 * N + 2),
+    (-6 * N - 4, Poly(), 3 * N + 2),
+    (Poly((-4,)), Poly(), ONE),
+    (Poly(), Poly((-4,)), ONE),
+    (Poly((6,)), 4 * N + 2, ONE),
+    (4 * N + 2, Poly((-6,)), ONE),
+    (-(N + 1) * (N - 3), 2 * N + 2, N + 1),
+    (2 * N + 2, -(N + 1) * (N - 3), N + 1),
+    (-(N * N), -2 * N, N),
+])
+def test_poly_gcd_zero_constant_and_negative_arguments(a, b, want):
+    assert poly_gcd(a, b) == want == prs_gcd(a, b)
+
+
+def test_poly_gcd_matches_prs_oracle_random():
+    # planted common factors with coefficients up to 2^80, products of degree up to 8
+    rng = random.Random(20261019)
+
+    def rand_poly(degree):
+        bits = rng.choice((2, 20, 80))
+        return Poly([rng.randint(-2**bits, 2**bits) for _ in range(degree + 1)])
+
+    for _ in range(150):
+        common = rand_poly(rng.randint(0, 4))
+        a = common * rand_poly(rng.randint(0, 4))
+        b = common * rand_poly(rng.randint(0, 4))
+        assert poly_gcd(a, b) == prs_gcd(a, b)
+
+
 def test_normalize_factor_cancellation():
     assert RatFunc(N * N - 1, N - 1) == RatFunc(N + 1)
 
@@ -82,6 +138,10 @@ def test_canonical_uniqueness_random():
         r = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
         if not q or not r:
             continue
+        assert RatFunc(p * r, q * r) == RatFunc(p, q)
+    for _ in range(100):
+        # coefficients up to 2^80, past what one 61-bit prime lifts
+        p, q, r = (Poly([rng.randint(-2**80, 2**80) for _ in range(rng.randint(1, 4))]) for _ in range(3))
         assert RatFunc(p * r, q * r) == RatFunc(p, q)
 
 

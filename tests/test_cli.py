@@ -90,10 +90,25 @@ def test_moment_parse_error(capsys):
 
 
 def test_moment_too_deep_is_usage_error(capsys):
-    # the loop equation recurses once per unit of trace power
+    # far above the power limit, where the loop equation would also recurse too deep
     code, out, err = run(capsys, "moment", "--ensemble", "unitary", "--invariants", "1200")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_moment_above_the_power_limit_is_refused_before_any_work(capsys, monkeypatch):
+    # total power 45 is one above the limit; 44 is accepted
+    from wickweights import cli
+
+    def never(*args):
+        raise AssertionError("gaussian_trace_moment called")
+
+    monkeypatch.setattr(cli, "gaussian_trace_moment", never)
+    code, out, err = run(capsys, "moment", "--ensemble", "unitary", "--invariants", "40,4|1")
+    assert code == 2 and out == ""
+    assert err == "error: total trace power 45 exceeds the limit of 44\n"
+    monkeypatch.setattr(cli, "gaussian_trace_moment", lambda *args: "moment")
+    assert run(capsys, "moment", "--ensemble", "coe", "--invariants", "40,3|1") == (0, "moment\n", "")
 
 
 def test_integrate_concrete(capsys):
