@@ -418,7 +418,7 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly]]:
+def clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly]]:
     """A least common multiple of the denominators of fs, and each numerator over it."""
     common = _ONE
     for d in dict.fromkeys(f.den for f in fs):
@@ -431,7 +431,7 @@ def linear_combination(terms: Iterable[tuple[int | Fraction, RatFunc]]) -> RatFu
     """sum of q * f over the terms (q, f), over one common denominator and
     reduced once, where a running sum would take a gcd at every step."""
     terms = list(terms)
-    den, nums = _clear_denominators([f for _, f in terms])
+    den, nums = clear_denominators([f for _, f in terms])
     scale = lcm(*(Fraction(q).denominator for q, _ in terms))
     return RatFunc(sum((n * int(q * scale) for (q, _), n in zip(terms, nums)), _ZERO), den * scale)
 
@@ -683,7 +683,7 @@ def _as_ratfunc(num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
 
 def _satisfies(cleared: list[list[Poly]], x: list[RatFunc]) -> bool:
     """A x == b exactly, on the cleared augmented rows over one common denominator of x."""
-    common, scaled = _clear_denominators(x)
+    common, scaled = clear_denominators(x)
     return all(sum((a * v for a, v in zip(row, scaled)), _ZERO) == row[-1] * common for row in cleared)
 
 
@@ -713,7 +713,7 @@ def solve_linear_system(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFu
         return []
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("matrix must be square and match the right-hand side")
-    cleared = [_clear_denominators((*row, b))[1] for row, b in zip(matrix, rhs)]
+    cleared = [clear_denominators((*row, b))[1] for row, b in zip(matrix, rhs)]
     det_degree = min(
         sum(max(0, max(a.degree for a in row[:n])) for row in cleared),
         sum(max(0, max(row[j].degree for row in cleared)) for j in range(n)),

@@ -34,7 +34,6 @@ def integrate_monomial(weight: WeightFunction, monomial: MonomialSpec) -> DeltaE
     to a single rational function of N (the expansion has at most the empty
     delta structure).
     """
-    monomial.validate(weight.ensemble)
     return weighted_moment(weight, list(monomial.slots))
 
 

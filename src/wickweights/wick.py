@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import Poly, RatFunc, linear_combination
+from .algebra import Poly, RatFunc, clear_denominators, linear_combination
 from .combinatorics import (
     DeltaStructure,
     Partition,
@@ -204,7 +204,6 @@ class DeltaExpansion:
 
 def gaussian_entry_moment(ensemble: Ensemble, monomial: MonomialSpec) -> DeltaExpansion:
     """Gaussian average of an entry monomial, by invariance (see entry_moment)."""
-    monomial.validate(ensemble)
     return entry_moment(ensemble, {(): RatFunc(1)}, monomial.slots)
 
 
@@ -395,9 +394,14 @@ def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequenc
 def _class_targets(
     ensemble: Ensemble, coefficients: dict[Partition, RatFunc], classes: Sequence[Partition]
 ) -> list[RatFunc]:
-    """sum_p a_p <I_p p_lam(W)>_g for every class lam, p_lam(W) = prod_j tr W^(lam_j)."""
-    return [linear_combination((1, a * gaussian_trace_moment(ensemble, [p, lam])) for p, a in coefficients.items() if a)
-            for lam in classes]
+    """sum_p a_p <I_p p_lam(W)>_g for every class lam, p_lam(W) = prod_j tr W^(lam_j), each summed
+    over its known denominator D d^(m+|lam|) as the integer loop numerators n_p d^(m-|p|) num(p + lam)
+    of _loop_numerator, with a_p = n_p / D and m the largest |p|, and reduced once."""
+    den, nums = clear_denominators(list(coefficients.values()))
+    d, m = ensemble.pair_denominator, max((sum(p) for p, a in coefficients.items() if a), default=0)
+    scaled = [(check_partition(p), n * d ** (m - sum(p))) for p, n in zip(coefficients, nums) if n]
+    return [RatFunc(sum(n * Poly(_loop_numerator(ensemble, tuple(sorted(p + lam, reverse=True)))) for p, n in scaled),
+                    den * d ** (m + sum(lam))) for lam in classes]
 
 
 def gram_class_coefficients(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> list[RatFunc]:

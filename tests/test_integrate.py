@@ -278,3 +278,66 @@ def test_conditions_and_error_order_beyond_kappa_3(ens, kappa):
         assert report.ok, str(report)
     beta = error_order(w, kappa + 1)
     assert beta is not None and beta >= kappa // 2 + 1
+
+
+ENTRY_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "entry_moments.json"
+
+
+@pytest.mark.parametrize("ens", list(Ensemble))
+def test_class_targets_without_trace_moments(ens, monkeypatch):
+    # once the weight is solved, conditions, error orders, Gram products and
+    # entry moments sum loop numerators: no reduced trace moment is asked for
+    from wickweights import wick
+
+    w = solve_weight(ens, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("class targets asked for a reduced trace moment")
+
+    monkeypatch.setattr(wick, "gaussian_trace_moment", refuse)
+    for k in range(1, 4):
+        report = verify_conditions(w, k)
+        assert report.ok and not report.residual, str(report)
+    assert error_order(w, 4) == 2
+    grams = [e for e in json.loads(GRAM_FIXTURE.read_text()) if (e["ensemble"], e["kappa"]) == (ens.value, 3)]
+    assert grams
+    for e in grams:
+        assert integrate_gram_product(w, e["k"]) == expansion_from_json(e["expansion"]), e["k"]
+    entry = next(e for e in json.loads(ENTRY_FIXTURE.read_text())
+                 if (e["ensemble"], e["kappa"]) == (ens.value, 3) and len(e["monomial"].split()) == 6
+                 and MonomialSpec.parse(e["monomial"]).is_concrete())
+    got = integrate_monomial(w, MonomialSpec.parse(entry["monomial"]))
+    assert got == expansion_from_json(entry["expansion"]), entry["monomial"]
+
+
+def _reference_class_targets(ens, coefficients, classes):
+    return [sum((a * gaussian_trace_moment(ens, [p, lam]) for p, a in coefficients.items() if a), RatFunc(0))
+            for lam in classes]
+
+
+@pytest.mark.parametrize("ens, monomial", [
+    (Ensemble.ORTHOGONAL, "M[1,1] M[1,1] M[2,1] M[2,1] M[1,2] M[1,2]"),
+    (Ensemble.UNITARY, "M[1,1] Mc[1,1] M[1,2] Mc[1,2] M[2,1] Mc[2,1]"),
+    (Ensemble.COE, "M[1,1] Mc[1,1] M[1,2] Mc[1,2] M[2,2] Mc[2,2]"),
+])
+def test_class_targets_of_general_weight(ens, monomial, monkeypatch):
+    # a hand-made weight whose common denominator has a factor N^2 + 1 that
+    # does not split over the integers, a zero coefficient and invariants
+    # of sizes 0-3, against the sum of reduced trace moments a_p <I_p p_lam>;
+    # a key that is not a partition is refused
+    from wickweights import wick
+    from wickweights.combinatorics import partitions_of
+
+    coefficients = {(): RatFunc(3, N * N + 1), (1,): RatFunc(N - 2, N * (N * N + 1)), (2,): RatFunc(0),
+                    (2, 1): RatFunc(-5, N + 3), (1, 1, 1): RatFunc(N, 7)}
+    alpha = 2 if ens is Ensemble.ORTHOGONAL else 1
+    for k in range(1, 5):
+        targets = _reference_class_targets(ens, coefficients, list(partitions_of(k)))
+        assert wick.gram_class_coefficients(ens, coefficients, k) == wick._class_solve(k, alpha, targets, (0,)), k
+    slots = MonomialSpec.parse(monomial).slots
+    got = wick.entry_moment(ens, coefficients, slots)
+    with pytest.raises(ValueError):
+        wick.gram_class_coefficients(ens, {(1, 2): RatFunc(1)}, 1)
+    monkeypatch.setattr(wick, "_class_targets", _reference_class_targets)
+    want = wick.entry_moment(ens, coefficients, slots)
+    assert got and got == want
