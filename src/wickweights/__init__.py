@@ -7,14 +7,7 @@ beyond.  All symbolic results are exact rational functions of the matrix
 dimension N; floating point only appears in the Monte Carlo oracle.
 """
 
-from .algebra import (
-    N,
-    PoleError,
-    Poly,
-    RatFunc,
-    SingularMatrixError,
-    solve_linear_system,
-)
+from .algebra import N, PoleError, Poly, RatFunc
 from .combinatorics import (
     Partition,
     check_partition,
@@ -32,14 +25,7 @@ from .wick import (
     gaussian_entry_moment,
     gaussian_trace_moment,
 )
-from .weights import (
-    GramSystem,
-    WeightFunction,
-    build_gram_system,
-    solve_weight,
-    unit_weight,
-    verify_conditions,
-)
+from .weights import WeightFunction, solve_weight, unit_weight, verify_conditions
 from .integrate import (
     error_order,
     integrate_gram_product,
@@ -60,13 +46,12 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "N", "Poly", "RatFunc", "PoleError", "SingularMatrixError", "solve_linear_system",
+    "N", "Poly", "RatFunc", "PoleError",
     "Partition", "check_partition", "contract_deltas", "enumerate_partitions", "partitions_of",
     "DeltaExpansion", "Ensemble", "MonomialSpec", "Slot",
     "connected_entry_moment", "connected_trace_moment",
     "gaussian_entry_moment", "gaussian_trace_moment",
-    "GramSystem", "WeightFunction", "build_gram_system", "solve_weight",
-    "unit_weight", "verify_conditions",
+    "WeightFunction", "solve_weight", "unit_weight", "verify_conditions",
     "error_order", "integrate_gram_product", "integrate_monomial",
     "weighted_connected_order",
     "McEstimate", "cross_check", "mc_integrate", "sample_haar",

@@ -20,18 +20,9 @@ Two value types live here:
 
 Every operation is exact; nothing in this module touches floating point.
 One Euclidean algorithm serves both types: ``poly_gcd``, which keeps every
-``RatFunc`` reduced, runs Euclid modulo the solve's primes, joins the
-images by the Chinese remainder theorem and returns a lift only once it
-divides both arguments exactly.
-
-``solve_linear_system`` works by modular evaluation: it solves the system
-modulo a 61-bit prime at pseudo-random points N = x, by forward
-elimination and back-substitution, rebuilds each unknown as a rational
-function by interpolation and rational reconstruction, and lifts its
-coefficients to Q.  Intermediate values stay one machine word wide however
-large the exact elimination would grow.  The first lift that passes an
-exact check A x == b in ``Poly`` arithmetic is returned; further primes
-are joined only when the check fails.
+``RatFunc`` reduced, runs Euclid modulo 61-bit primes, joins the images
+by the Chinese remainder theorem and returns a lift only once it divides
+both arguments exactly.
 """
 
 from __future__ import annotations
@@ -427,13 +418,20 @@ def clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly]]:
     return common, [f.num * common.divexact(f.den) for f in fs]
 
 
+def scaled_sum(terms: Iterable[tuple[int | Fraction, Poly]]) -> tuple[Poly, int]:
+    """sum of q * f over the terms (q, f), as an integer polynomial and the denominator it is over."""
+    terms = list(terms)
+    scale = lcm(*(Fraction(q).denominator for q, _ in terms))
+    return sum((int(q * scale) * f for q, f in terms), _ZERO), scale
+
+
 def linear_combination(terms: Iterable[tuple[int | Fraction, RatFunc]]) -> RatFunc:
     """sum of q * f over the terms (q, f), over one common denominator and
     reduced once, where a running sum would take a gcd at every step."""
     terms = list(terms)
     den, nums = clear_denominators([f for _, f in terms])
-    scale = lcm(*(Fraction(q).denominator for q, _ in terms))
-    return RatFunc(sum((n * int(q * scale) for (q, _), n in zip(terms, nums)), _ZERO), den * scale)
+    num, scale = scaled_sum((q, n) for (q, _), n in zip(terms, nums))
+    return RatFunc(num, den * scale)
 
 
 #: The first modulus of the solve, a Mersenne prime.
@@ -707,6 +705,10 @@ def solve_linear_system(matrix: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFu
     absolute coefficients), the system is singular at D + 1 distinct points
     mod every prime of a set whose product exceeds B, so every coefficient
     of det A is zero.
+
+    No run of the program calls it: the weights come in closed form
+    (wick.kernel_weight).  It is the reference the tests solve each stored
+    weight table's Gram system with, and the solve that perfbench/ times.
     """
     n = len(matrix)
     if n == 0:

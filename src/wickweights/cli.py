@@ -65,8 +65,8 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
 def _warn_cost(kappa: int) -> None:
     if kappa > _COST_WARNING_KAPPA:
         print(
-            f"warning: kappa={kappa} may take long (cold, 3.5-9.5 s at kappa=8): the exact solve grows with "
-            f"the partitions of weight <= {kappa}, and verify sums trace moments up to degree {4 * kappa + 2}",
+            f"warning: kappa={kappa} may take long: the weight has a coefficient for each partition of weight "
+            f"<= {kappa}, and verify sums trace moments up to degree {4 * kappa + 2}",
             file=sys.stderr,
         )
 

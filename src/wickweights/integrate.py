@@ -70,21 +70,6 @@ def error_order(weight: WeightFunction, k: int) -> int | None:
     return _min_order(gram_class_residual(weight.ensemble, weight.coefficients, k).values())
 
 
-def weighted_connected_moment(weight: WeightFunction, k: int) -> DeltaExpansion:
-    """Connected part of <w (M M+)_(i1,l1)...(ik,lk)>_g.
-
-    The weight counts as one more factor in the block decomposition: the
-    connected part is what remains after removing every splitting into two
-    or more complete contractions of entry blocks and/or the weight.  Its
-    coefficient depends only on the class of the index structure and is a
-    cumulant over the structure's loops and the weight
-    (wick.gram_connected_coefficients), expanded only here, for output.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return gram_class_expansion(weight.ensemble, k, gram_connected_coefficients(weight.ensemble, weight.coefficients, k))
-
-
 def weighted_connected_order(weight: WeightFunction, k: int) -> int | None:
     """Minimum decay exponent over the connected part's class coefficients.
 

@@ -1,4 +1,4 @@
-"""Weight functions over trace invariants, and the linear systems behind them.
+"""Weight functions over trace invariants.
 
 A weight of order kappa is w = a_0 + sum over nonempty partitions k (weight
 <= kappa) of a_k * prod_i tr((M M+)^{k_i}).  The coefficients are fixed by
@@ -9,16 +9,17 @@ matrix of the system is the table of Gaussian cross-moments of the
 invariants, which is positive definite, so the solution exists and is
 unique.
 
-Every weight is solved in the run that asks for it, and nothing is read
-from or written to disk: solve_weight returns only a solution that has
-passed the exact check A x == b against its Gram system.
+solve_weight writes it down in closed form (wick.kernel_weight) in the run
+that asks for it, building and solving no system.  The tests tie it to the
+Gram system through the stored tables, and verify_conditions checks the
+conditions at run time by an independent path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import RatFunc, solve_linear_system
+from .algebra import RatFunc
 from .combinatorics import Partition, enumerate_partitions, partition_label
 from .wick import (
     DeltaExpansion,
@@ -27,6 +28,7 @@ from .wick import (
     entry_moment,
     gaussian_trace_moment,
     gram_class_residual,
+    kernel_weight,
 )
 
 
@@ -46,7 +48,8 @@ def build_gram_system(ensemble: Ensemble, kappa: int) -> GramSystem:
     target values N^(number of parts) on the right-hand side.
 
     The targets are the same for all three ensembles: the target matrices
-    are unitary, so each trace factor of the invariant equals N there.
+    are unitary, so each trace factor of the invariant equals N there.  No
+    run of the program builds it: the tests solve it, and perfbench/ reads it.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -106,14 +109,9 @@ def unit_weight(ensemble: Ensemble) -> WeightFunction:
 
 
 def solve_weight(ensemble: Ensemble, kappa: int) -> WeightFunction:
-    """Build and solve the defining system for w_kappa.
-
-    The solution satisfies the defining conditions exactly:
-    solve_linear_system returns none that has not passed the check A x == b.
-    """
-    system = build_gram_system(ensemble, kappa)
-    solution = solve_linear_system(system.matrix, system.rhs)
-    return WeightFunction(ensemble, kappa, dict(zip(system.partitions, solution)))
+    """The weight of order kappa, the solution of its defining system in
+    closed form (wick.kernel_weight)."""
+    return WeightFunction(ensemble, kappa, kernel_weight(ensemble, kappa))
 
 
 def weighted_moment(weight: WeightFunction, slots: list[Slot]) -> DeltaExpansion:
@@ -154,12 +152,12 @@ def verify_conditions(weight: WeightFunction, k: int) -> ConditionReport:
     The weighted Gram product is sum_pi c_(class pi) d_pi by invariance, and
     the class 1^k holds one structure, the target, so the condition holds
     exactly when every class coefficient equals [mu = 1^k]
-    (wick.gram_class_residual); no index structure is expanded.  For
-    k <= kappa the class targets are rows of the weight's own Gram system,
-    so the check follows from the solve.  The independent evidence that
-    the reduction is right is the test suite's comparison with the
-    brute-force pairing sum of tests/helpers.py and with the stored
-    expansions of the former pairing-walk engine.
+    (wick.gram_class_residual); no index structure is expanded.  The class
+    targets are summed from the loop equation, so the check does not depend
+    on how the weight was built.  The evidence that the reduction is right
+    is the test suite's comparison with the brute-force pairing sum of
+    tests/helpers.py and with the stored expansions of the former
+    pairing-walk engine.
     """
     if not 1 <= k <= max(weight.kappa, 1):
         raise ValueError("k must lie in 1..kappa")

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import Poly, RatFunc, clear_denominators, linear_combination
+from .algebra import Poly, RatFunc, clear_denominators, linear_combination, scaled_sum
 from .combinatorics import (
     DeltaStructure,
     Partition,
@@ -336,15 +336,16 @@ def _fillings(parts: Partition, boxes: Partition) -> int:
 @functools.cache
 def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[tuple[tuple, tuple, Fraction], ...]]:
     """z^alpha_mu = z_mu alpha^len(mu) per class, and for each partition theta
-    the offsets alpha j - i of its boxes, P_theta and <P_theta, P_theta>.
+    the offsets alpha j - i of its boxes, J_theta and j_theta = <J_theta, J_theta>.
 
-    P_theta is the Jack polynomial P^(alpha)_theta up to a scalar, written
-    in power sums.  The Jack polynomials are orthogonal under <p_lam, p_mu>
-    = delta z^alpha_mu and P_theta is m_theta plus monomials m_lam with lam
-    below theta (Macdonald, Symmetric Functions and Hall Polynomials,
-    VI.10), so it is orthogonal to the dual basis g_mu of every mu above
-    theta.  Gram-Schmidt on g_theta = sum_mu R_(mu,theta) p_mu / z^alpha_mu,
-    from (k) down in partitions_of order, therefore yields it.
+    J_theta is the Jack polynomial J^(alpha)_theta written in power sums.  The
+    Jack polynomials are orthogonal under <p_lam, p_mu> = delta z^alpha_mu and
+    P_theta is m_theta plus monomials m_lam with lam below theta (Macdonald,
+    Symmetric Functions and Hall Polynomials, VI.10), so it is orthogonal to
+    the dual basis g_mu of every mu above theta.  Gram-Schmidt on g_theta =
+    sum_mu R_(mu,theta) p_mu / z^alpha_mu, from (k) down in partitions_of
+    order, therefore yields it up to a scalar, which J_theta(1^n) = Z_theta(n)
+    (Macdonald, VI (10.20)) fixes at n = k + 2.
     """
     classes = list(partitions_of(k))
     z = tuple(alpha ** len(mu) * math.prod(x ** n * math.factorial(n) for x, n in Counter(mu).items())
@@ -359,9 +360,21 @@ def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[tuple[tuple,
         for _, q, norm in jacks:
             f = dot(p, q) / norm
             p = tuple(a - f * b for a, b in zip(p, q))
-        offsets = tuple(alpha * j - i for i, row in enumerate(theta) for j in range(row))
+        offsets = tuple(_skew(theta, (), alpha))
+        scale = math.prod(k + 2 + x for x in offsets) / sum(a * (k + 2) ** len(mu) for a, mu in zip(p, classes))
+        p = tuple(a * scale for a in p)
         jacks.append((offsets, p, dot(p, p)))
     return z, tuple(jacks)
+
+
+def _skew(theta: Partition, sigma: Partition, alpha: int) -> list[int]:
+    """The offsets alpha j - i of the boxes (i, j) of theta outside sigma, counted from 0."""
+    return [alpha * j - i for i, row in enumerate(theta) for j in range(sigma[i] if i < len(sigma) else 0, row)]
+
+
+def _boxes(offsets: Iterable[int], shift: int = 0) -> Poly:
+    """prod over the offsets x of (N + shift + x): Z_theta(N + shift) for the boxes of theta."""
+    return math.prod((Poly((shift + x, 1)) for x in offsets), start=Poly((1,)))
 
 
 def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequence[int]) -> list[RatFunc]:
@@ -375,20 +388,96 @@ def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequenc
     from 0, of (N + alpha j - i) (Macdonald, VII.2; Zinn-Justin, Lett. Math.
     Phys. 91 (2010)), so no matrix is formed:
 
-        c_mu = sum_theta z^alpha_mu P_theta[mu] (sum_lam P_theta[lam] T_lam)
-                         / (<P_theta, P_theta> prod_s Z_theta(N + s)).
+        c_mu = sum_theta z^alpha_mu J_theta[mu] (sum_lam J_theta[lam] T_lam)
+                         / (j_theta prod_s Z_theta(N + s)).
     """
     z, jacks = _jack_table(k, alpha)
     terms: list[list] = [[] for _ in z]
     for offsets, p, norm in jacks:
         proj = linear_combination((a, t) for a, t in zip(p, targets) if a and t)
         if proj:
-            eigenvalue = math.prod((Poly((s + x, 1)) for s in shifts for x in offsets), start=Poly((norm.numerator,)))
+            eigenvalue = math.prod((_boxes(offsets, s) for s in shifts), start=Poly((norm.numerator,)))
             proj = proj * RatFunc(norm.denominator, eigenvalue)
             for mu, (w, a) in enumerate(zip(z, p)):
                 if a:
                     terms[mu].append((w * a, proj))
     return [linear_combination(t) for t in terms]
+
+
+@functools.cache
+def _binomials(k: int, alpha: int) -> tuple[dict[Partition, Fraction], ...]:
+    """The nonzero generalized binomials of each theta of k, in partitions_of order:
+    J_theta(1 + x) / J_theta(1^n) = sum_sigma binom(theta, sigma) J_sigma(x) / J_sigma(1^n)
+    for any n >= len(theta), and binom(theta, sigma) = 0 unless sigma lies inside
+    theta (Lassalle, C. R. Acad. Sci. Paris 312 (1991)).  At n = k + 2, p_j(x + 1) =
+    sum_i C(j, i) p_i(x) with p_0 = n writes J_theta(1 + x) in power sums of x, and
+    the inner product of _jack_table projects each degree onto the J_sigma.
+    """
+    n, classes = k + 2, list(partitions_of(k))
+    shifted = []  # p_mu(x + 1) in power sums of x
+    for mu in classes:
+        terms: dict[Partition, int] = Counter()
+        for picks in itertools.product(*(range(part + 1) for part in mu)):
+            key = tuple(sorted(filter(None, picks), reverse=True))
+            terms[key] += math.prod(math.comb(part, i) for part, i in zip(mu, picks)) * n ** picks.count(0)
+        shifted.append(terms)
+    rows = {}  # sigma -> the coefficient of J_sigma(x) / J_sigma(1^n) in each p_mu(x + 1)
+    for m in range(k + 1):
+        z, jacks = _jack_table(m, alpha)
+        for sigma, (offsets, q, norm) in zip(partitions_of(m), jacks):
+            at_ones = math.prod(n + x for x in offsets) / norm
+            dual = [(lam, w * a * at_ones) for lam, w, a in zip(partitions_of(m), z, q)]
+            rows[sigma] = [sum(t[lam] * a for lam, a in dual if lam in t) for t in shifted]
+    out = []
+    for offsets, p, _ in _jack_table(k, alpha)[1]:
+        at_ones = math.prod(n + x for x in offsets)
+        binom = {sigma: sum(a * b for a, b in zip(p, row)) / at_ones for sigma, row in rows.items()}
+        out.append({sigma: b for sigma, b in binom.items() if b})
+    return tuple(out)
+
+
+def kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
+    """Coefficients a_mu of the weight of order kappa, w = sum_mu a_mu p_mu(W), as the
+    Laguerre reproducing kernel at W = 1 (Baker and Forrester, Commun. Math. Phys. 188
+    (1997)), which the defining conditions <w f(W)>_g = f(1), deg f <= kappa, fix:
+
+        w = sum over |theta| <= kappa of L_theta(c 1) L_theta(c W) / <L_theta^2>_g.
+
+    x = c W, with c = d / alpha, d = N + s the pair denominator and alpha as in
+    _class_solve, is Laguerre distributed (James, Ann. Math. Statist. 35 (1964)):
+    L_theta(x) = sum_sigma (-1)^|sigma| binom(theta, sigma) alpha^|sigma| J_sigma(x)
+    / (Z_sigma(N) Z_sigma(N + s)) and <L_theta^2>_g = j_theta / (Z_theta(N) Z_theta(N + s))
+    (Lassalle, 1991).  Z_sigma divides Z_theta for sigma inside theta, so ell_theta =
+    Z_theta(N + s) L_theta(c 1) = sum_sigma (-1)^|sigma| binom(theta, sigma) d^|sigma|
+    Z_theta(N + s) / Z_sigma(N + s) is a polynomial, and with m = |mu|
+
+        a_mu = (-d)^m sum_(sigma of m) J_sigma[mu] / Z_sigma(N + s) sum_(theta containing sigma)
+               binom(theta, sigma) ell_theta Z_theta(N) / (j_theta Z_sigma(N)),
+
+    summed over the lcm of the Z_sigma(N + s) and reduced once.
+    """
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    alpha, s = (1, 0) if ensemble is Ensemble.UNITARY else (2, int(ensemble is Ensemble.COE))
+    jacks = {theta: jack for k in range(kappa + 1) for theta, jack in zip(partitions_of(k), _jack_table(k, alpha)[1])}
+    binoms = dict(zip(jacks, (binom for k in range(kappa + 1) for binom in _binomials(k, alpha))))
+    inner: dict[Partition, list] = {theta: [] for theta in jacks}  # sigma -> the terms of its sum over theta
+    for theta, binom in binoms.items():
+        ell, scale = scaled_sum(((-1) ** sum(sigma) * b, _boxes([0] * sum(sigma) + _skew(theta, sigma, alpha), s))
+                                for sigma, b in binom.items())
+        for sigma, b in binom.items():
+            inner[sigma].append((b / (jacks[theta][2] * scale), ell * _boxes(_skew(theta, sigma, alpha))))
+    out = {}
+    for m in range(kappa + 1):
+        sigmas = list(partitions_of(m))
+        lcm = functools.reduce(Counter.__or__, (Counter(jacks[sigma][0]) for sigma in sigmas))
+        sums = [scaled_sum(inner[sigma]) for sigma in sigmas]
+        sums = [(f * _boxes((lcm - Counter(jacks[sigma][0])).elements(), s), q) for sigma, (f, q) in zip(sigmas, sums)]
+        lead, den = (-ensemble.pair_denominator) ** m, _boxes(lcm.elements(), s)
+        for i, mu in enumerate(sigmas):
+            num, scale = scaled_sum((jacks[sigma][1][i] / q, f) for sigma, (f, q) in zip(sigmas, sums))
+            out[mu] = RatFunc(lead * num, den * scale)
+    return out
 
 
 def _class_targets(

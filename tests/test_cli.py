@@ -69,6 +69,36 @@ def test_cost_warning_above_seven(capsys):
     assert "warning" not in err and "error" in err
 
 
+# verify-cli's session: verify at kappa=3 in each ensemble and six integrals, one of them unitary kappa=4
+_SESSION = [("verify", "--ensemble", e, "--kappa", "3") for e in ("orthogonal", "unitary", "coe")] + [
+    ("integrate", "--ensemble", e, "--kappa", str(k), "--monomial", mono, "--at", str(n))
+    for e, k, mono, n in [
+        ("orthogonal", 3, "M[1,1] M[1,1] M[1,1] M[1,1] M[1,1] M[1,1]", 11),
+        ("orthogonal", 3, "M[1,1] M[1,1] M[1,2] M[1,2]", 12),
+        ("unitary", 3, "M[1,1] Mc[1,1] M[1,1] Mc[1,1] M[1,1] Mc[1,1]", 13),
+        ("coe", 3, "M[1,1] Mc[1,1]", 14),
+        ("coe", 3, "M[1,1] Mc[1,1] M[1,1] Mc[1,1]", 15),
+        ("unitary", 4, "M[1,1] Mc[1,1] M[1,1] Mc[1,1] M[1,1] Mc[1,1] M[1,1] Mc[1,1]", 16),
+    ]
+] + [("weights", "--ensemble", e, "--kappa", "4", "--format", "json") for e in ("orthogonal", "unitary", "coe")]
+
+
+def test_no_run_builds_or_solves_a_gram_system(capsys, monkeypatch):
+    # every weight is the closed form, so the session prints the same when
+    # the Gram build and the linear solver refuse to run
+    from wickweights import algebra, weights
+
+    want = [run(capsys, *argv) for argv in _SESSION]
+    assert all(code == 0 and out for code, out, _ in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run built or solved a Gram system")
+
+    monkeypatch.setattr(weights, "build_gram_system", refuse)
+    monkeypatch.setattr(algebra, "solve_linear_system", refuse)
+    assert [run(capsys, *argv) for argv in _SESSION] == want
+
+
 def test_threads_is_usage_error(capsys):
     assert main(["--threads", "2", "moment", "--ensemble", "orthogonal", "--invariants", "2"]) == 2
     assert main(["--threads=2", "moment", "--ensemble", "orthogonal", "--invariants", "2"]) == 2

@@ -27,11 +27,10 @@ from wickweights.integrate import (
     error_order,
     integrate_gram_product,
     integrate_monomial,
-    weighted_connected_moment,
     weighted_connected_order,
 )
 from wickweights.weights import WeightFunction, solve_weight, unit_weight, verify_conditions
-from wickweights.wick import gaussian_trace_moment
+from wickweights.wick import gaussian_trace_moment, gram_class_expansion, gram_connected_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +174,11 @@ def test_scalar_answers_without_structures(ens, monkeypatch):
     assert weighted_connected_order(w, 2) >= 1
 
 
+def _weighted_connected(w, k):
+    # the connected part of <w (M M+)_(i1,l1)...(ik,lk)>, expanded over its index structures
+    return gram_class_expansion(w.ensemble, k, gram_connected_coefficients(w.ensemble, w.coefficients, k))
+
+
 @pytest.mark.parametrize("ens", list(Ensemble))
 def test_weighted_connected_matches_reference_cumulants(ens):
     # the per-class cumulant against the moment-cumulant recursion over
@@ -192,7 +196,7 @@ def test_weighted_connected_matches_reference_cumulants(ens):
 
         for k in (1, 2, 3):
             want = cumulants_from_moments(("w",) + tuple(range(1, k + 1)), moment_fn)
-            assert weighted_connected_moment(w, k) == want, (kappa, k)
+            assert _weighted_connected(w, k) == want, (kappa, k)
 
 
 def test_weighted_connected_orders(w2, w3):
@@ -202,7 +206,7 @@ def test_weighted_connected_orders(w2, w3):
 
 
 def test_weighted_connected_first_vanishes(w2):
-    assert not weighted_connected_moment(w2, 1)
+    assert not _weighted_connected(w2, 1)
     assert weighted_connected_order(w2, 1) is None
 
 

@@ -130,8 +130,10 @@ def _recompute_weight_fixture(name: str) -> list[tuple[str, int]]:
     """Solve every table of tests/data/<name> from nothing and compare with ==."""
     from wickweights import wick
 
-    wick._loop_numerator.cache_clear()
-    wick._trace_moment.cache_clear()
+    caches = [f for f in vars(wick).values() if hasattr(f, "cache_clear")]
+    assert {wick._jack_table, wick._binomials, wick._fillings} <= set(caches)
+    for memo in caches:
+        memo.cache_clear()
     entries = json.loads((DATA / name).read_text())
     for e in entries:
         want = WeightFunction.from_json(e)
