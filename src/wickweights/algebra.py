@@ -71,11 +71,11 @@ class Poly:
         return Poly((c,))
 
     @staticmethod
-    def n_power(k: int, coeff: int = 1) -> "Poly":
-        """The monomial coeff * N^k."""
-        if coeff == 0:
-            return Poly()
-        return Poly((0,) * k + (coeff,))
+    def n_power(k: int) -> "Poly":
+        """The monomial N^k, k >= 0."""
+        if k < 0:
+            raise ValueError("negative polynomial power")
+        return Poly((0,) * k + (1,))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -292,10 +292,6 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        if isinstance(num, Fraction):
-            if den != 1:
-                raise ValueError("Fraction numerator requires unit denominator argument")
-            num, den = Poly.const(num.numerator), Poly.const(num.denominator)
         num = _as_poly(num)
         den = _as_poly(den)
         if not den:
@@ -314,11 +310,9 @@ class RatFunc:
     # -- constructors ------------------------------------------------------------
 
     @staticmethod
-    def n_power(k: int, coeff: int = 1) -> "RatFunc":
-        """coeff * N^k for any integer k (negative k puts the power below)."""
-        if k >= 0:
-            return RatFunc(Poly.n_power(k, coeff))
-        return RatFunc(Poly.const(coeff), Poly.n_power(-k))
+    def n_power(k: int) -> "RatFunc":
+        """N^k, k >= 0."""
+        return RatFunc(Poly.n_power(k))
 
     # -- queries -----------------------------------------------------------------
 
@@ -395,10 +389,6 @@ class RatFunc:
             "num": [str(c) for c in self.num.coeffs],
             "den": [str(c) for c in self.den.coeffs],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "RatFunc":
-        return RatFunc(Poly(int(c) for c in obj["num"]), Poly(int(c) for c in obj["den"]))
 
     def __str__(self) -> str:
         if self.den == _ONE:

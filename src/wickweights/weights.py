@@ -68,7 +68,7 @@ class WeightFunction:
 
     ensemble: Ensemble
     kappa: int
-    coefficients: dict[Partition, RatFunc] = field(compare=False)
+    coefficients: dict[Partition, RatFunc] = field(hash=False)
 
     def coefficient(self, partition: Partition) -> RatFunc:
         return self.coefficients[tuple(partition)]
@@ -76,14 +76,6 @@ class WeightFunction:
     def items(self) -> list[tuple[Partition, RatFunc]]:
         order = enumerate_partitions(self.kappa) if self.kappa >= 1 else [()]
         return [(p, self.coefficients[p]) for p in order]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeightFunction)
-            and self.ensemble == other.ensemble
-            and self.kappa == other.kappa
-            and self.coefficients == other.coefficients
-        )
 
     def to_json(self) -> dict:
         return {
@@ -93,14 +85,6 @@ class WeightFunction:
                 {"partition": list(p), "value": v.to_json()} for p, v in self.items()
             ],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "WeightFunction":
-        coeffs = {
-            tuple(entry["partition"]): RatFunc.from_json(entry["value"])
-            for entry in obj["coefficients"]
-        }
-        return WeightFunction(Ensemble(obj["ensemble"]), int(obj["kappa"]), coeffs)
 
 
 def unit_weight(ensemble: Ensemble) -> WeightFunction:

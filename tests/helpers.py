@@ -99,6 +99,17 @@ def min_order(expansion: DeltaExpansion) -> int | None:
     return min((v.order() for v in expansion.terms.values()), default=None)
 
 
+def ratfunc_from_json(obj: dict) -> RatFunc:
+    """Inverse of RatFunc.to_json."""
+    return RatFunc(Poly(int(c) for c in obj["num"]), Poly(int(c) for c in obj["den"]))
+
+
+def weight_from_json(obj: dict) -> WeightFunction:
+    """Inverse of WeightFunction.to_json."""
+    coeffs = {tuple(entry["partition"]): ratfunc_from_json(entry["value"]) for entry in obj["coefficients"]}
+    return WeightFunction(Ensemble(obj["ensemble"]), int(obj["kappa"]), coeffs)
+
+
 def expansion_from_json(obj: list) -> DeltaExpansion:
     """Inverse of DeltaExpansion.to_json.  Numeric strings in the delta pairs
     are the concrete anchors (symbolic labels are identifiers, never digits)."""
@@ -108,7 +119,7 @@ def expansion_from_json(obj: list) -> DeltaExpansion:
         res = contract_deltas(edges, ())
         if res is None:
             raise ValueError("inconsistent delta pattern in serialized expansion")
-        terms[res[0]] = RatFunc.from_json(entry["coeff"])
+        terms[res[0]] = ratfunc_from_json(entry["coeff"])
     return DeltaExpansion(terms)
 
 
@@ -293,7 +304,7 @@ def reference_expansion(ensemble: Ensemble, slots) -> DeltaExpansion:
             by_power = counts.setdefault(structure, {})
             by_power[power] = by_power.get(power, 0) + 1
     den = ensemble.pair_denominator ** m
-    return DeltaExpansion({structure: RatFunc(sum((Poly.n_power(p, n) for p, n in by_power.items()), Poly()), den)
+    return DeltaExpansion({structure: RatFunc(sum((n * Poly.n_power(p) for p, n in by_power.items()), Poly()), den)
                            for structure, by_power in counts.items()})
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import prs_gcd
+from helpers import prs_gcd, ratfunc_from_json, weight_from_json
 
 from wickweights import algebra
 from wickweights.algebra import (
@@ -31,6 +31,12 @@ def test_poly_basics():
     assert str(N * N + 2) == "N^2 + 2"
     assert str(-(N**3) + 2 * N) == "-N^3 + 2*N"
     assert str(Poly()) == "0"
+
+
+def test_n_power_refuses_a_negative_power():
+    assert RatFunc.n_power(3) == RatFunc(N**3) and Poly.n_power(0) == Poly((1,))
+    with pytest.raises(ValueError):
+        RatFunc.n_power(-2)
 
 
 def test_poly_divexact():
@@ -245,9 +251,9 @@ _WEIGHTS = json.loads((pathlib.Path(__file__).resolve().parent / "data" / "weigh
 @pytest.mark.parametrize("table", _WEIGHTS, ids=lambda t: f"{t['ensemble']}-k{t['kappa']}")
 def test_solve_gram_system_with_one_prime(monkeypatch, table):
     # the Gram coefficients fit one 61-bit prime: one set of images, one exact check
-    from wickweights.weights import WeightFunction, build_gram_system
+    from wickweights.weights import build_gram_system
 
-    want = WeightFunction.from_json(table)
+    want = weight_from_json(table)
     system = build_gram_system(want.ensemble, want.kappa)
     images, satisfies = algebra._images_mod, algebra._satisfies
     calls = []
@@ -411,6 +417,6 @@ def test_json_roundtrip():
     f = RatFunc(-(N**3), (N - 1) * (N + 2) * 4)
     obj = f.to_json()
     assert obj == {"num": ["0", "0", "0", "-1"], "den": ["-8", "4", "4"]}
-    assert RatFunc.from_json(obj) == f
+    assert ratfunc_from_json(obj) == f
     big = RatFunc(Poly((10**40, 1)), Poly((3,)))
-    assert RatFunc.from_json(big.to_json()) == big
+    assert ratfunc_from_json(big.to_json()) == big

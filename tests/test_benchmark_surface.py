@@ -33,7 +33,7 @@ def test_every_traced_function_resolves():
 def test_cache_names_and_use_disk_accepted():
     assert callable(cache.cache_dir) and isinstance(cache.ENV_VAR, str)
     moment = gaussian_trace_moment(Ensemble.UNITARY, [(2,)], use_disk=False)
-    assert moment is gaussian_trace_moment(Ensemble.UNITARY, [(2,)])
+    assert moment == gaussian_trace_moment(Ensemble.UNITARY, [(2,)])
 
 
 def test_ratfunc_coefficients_round_trip_as_int_tuples():

@@ -56,14 +56,14 @@ def test_unknown_ensemble_usage_error(capsys):
     assert code == 2
 
 
-def test_cost_warning_above_seven(capsys):
+def test_cost_warning_above_nine(capsys):
     # the warning is printed before the monomial is parsed, so a bad
-    # monomial shows it without any solve; cold verify at kappa=7 takes seconds
-    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "8",
+    # monomial shows it without any solve; cold verify at kappa=9 takes seconds
+    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "10",
                        "--monomial", "M[1,1")
     assert code == 2
     assert "warning" in err
-    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "7",
+    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "9",
                        "--monomial", "M[1,1")
     assert code == 2
     assert "warning" not in err and "error" in err
@@ -128,17 +128,17 @@ def test_moment_too_deep_is_usage_error(capsys):
 
 def test_moment_above_the_power_limit_is_refused_before_any_work(capsys, monkeypatch):
     # total power 45 is one above the limit; 44 is accepted
-    from wickweights import cli
+    from wickweights import wick
 
     def never(*args):
-        raise AssertionError("gaussian_trace_moment called")
+        raise AssertionError("the loop equation ran")
 
-    monkeypatch.setattr(cli, "gaussian_trace_moment", never)
+    monkeypatch.setattr(wick, "_loop_numerator", never)
     code, out, err = run(capsys, "moment", "--ensemble", "unitary", "--invariants", "40,4|1")
     assert code == 2 and out == ""
     assert err == "error: total trace power 45 exceeds the limit of 44\n"
-    monkeypatch.setattr(cli, "gaussian_trace_moment", lambda *args: "moment")
-    assert run(capsys, "moment", "--ensemble", "coe", "--invariants", "40,3|1") == (0, "moment\n", "")
+    monkeypatch.setattr(wick, "_loop_numerator", lambda ensemble, powers: (1,))
+    assert run(capsys, "moment", "--ensemble", "unitary", "--invariants", "40,3|1") == (0, "(1) / (N^44)\n", "")
 
 
 def test_integrate_concrete(capsys):

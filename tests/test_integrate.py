@@ -245,7 +245,7 @@ def test_weighted_trace_average_matches_expansion_eval(w2):
 
 
 def test_trace_moment_reuse(w2):
-    # weighted trace averages are assembled purely from cached trace moments
+    # weighted trace averages are assembled purely from trace moments
     got = weighted_trace_average(w2, 2)
     direct = RatFunc(0)
     for p, c in w2.coefficients.items():
@@ -261,7 +261,7 @@ def test_gram_product_fixture_recomputed():
     # every weight and trace moment recomputed from nothing
     from wickweights import wick
 
-    for memo in (wick._loop_numerator, wick._trace_moment, wick._structures, wick._fillings, wick._jack_table):
+    for memo in (wick._loop_numerator, wick._structures, wick._fillings, wick._jack_table):
         memo.cache_clear()
     entries = json.loads(GRAM_FIXTURE.read_text())
     assert len(entries) == 41

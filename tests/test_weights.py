@@ -3,6 +3,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from helpers import weight_from_json
 
 from wickweights import Ensemble, gaussian_trace_moment
 from wickweights.algebra import N, Poly, RatFunc
@@ -119,7 +120,7 @@ def test_weight_json_roundtrip():
     obj = w.to_json()
     assert obj["ensemble"] == "unitary" and obj["kappa"] == 2
     assert [tuple(e["partition"]) for e in obj["coefficients"]] == list(enumerate_partitions(2))
-    back = WeightFunction.from_json(obj)
+    back = weight_from_json(obj)
     assert back == w
 
 
@@ -136,7 +137,7 @@ def _recompute_weight_fixture(name: str) -> list[tuple[str, int]]:
         memo.cache_clear()
     entries = json.loads((DATA / name).read_text())
     for e in entries:
-        want = WeightFunction.from_json(e)
+        want = weight_from_json(e)
         got = solve_weight(want.ensemble, want.kappa)
         assert got.coefficients == want.coefficients, (want.ensemble.value, want.kappa)
     return [(e["ensemble"], e["kappa"]) for e in entries]

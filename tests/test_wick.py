@@ -12,6 +12,7 @@ from helpers import (
     cumulants_from_moments,
     evaluate_expansion,
     expansion_from_json,
+    ratfunc_from_json,
     gram_product_slots,
     invariant_slots,
     min_order,
@@ -203,7 +204,7 @@ def test_entry_moment_fixture_recomputed():
     # and orthogonal kappa=4 M[1,1]^8
     from wickweights import wick
 
-    for memo in (wick._loop_numerator, wick._trace_moment, wick._structures, wick._fillings, wick._jack_table):
+    for memo in (wick._loop_numerator, wick._structures, wick._fillings, wick._jack_table):
         memo.cache_clear()
     entries = json.loads(ENTRY_FIXTURE.read_text())
     assert len(entries) == 336
@@ -319,17 +320,16 @@ def test_trace_moment_growth_degree():
             assert f.num.lc > 0
 
 
-def test_trace_moment_memoized_and_cached():
-    from wickweights import wick
-
-    wick._trace_moment.cache_clear()
+def test_trace_moment_depends_only_on_the_multiset():
+    # the same multiset of trace powers in another order is the same moment
     a = gaussian_trace_moment(Ensemble.ORTHOGONAL, [(2, 1)])
-    assert wick._trace_moment.cache_info().currsize == 1
-    # the same multiset in another order is a cache hit: the very object,
-    # not a rebuilt and re-reduced RatFunc
-    again = gaussian_trace_moment(Ensemble.ORTHOGONAL, [(2,), (1,)])
-    assert again is a
-    assert wick._trace_moment.cache_info().hits == 1
+    assert gaussian_trace_moment(Ensemble.ORTHOGONAL, [(2,), (1,)]) == a
+
+
+def test_trace_moment_above_the_power_limit_is_a_value_error():
+    # the loop equation would recurse too deep here; the library refuses first
+    with pytest.raises(ValueError, match="total trace power 1200 exceeds the limit of 44"):
+        gaussian_trace_moment(Ensemble.UNITARY, [(1200,)])
 
 
 TRACE_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "trace_moments.json"
@@ -340,12 +340,11 @@ def test_trace_moment_fixture_recomputed():
     from wickweights import wick
 
     wick._loop_numerator.cache_clear()
-    wick._trace_moment.cache_clear()
     entries = json.loads(TRACE_FIXTURE.read_text())
     assert len(entries) == 271
     for e in entries:
         got = gaussian_trace_moment(Ensemble(e["ensemble"]), [tuple(p) for p in e["invariants"]])
-        assert got == RatFunc.from_json(e["value"]), e
+        assert got == ratfunc_from_json(e["value"]), e
 
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
