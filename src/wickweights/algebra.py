@@ -409,10 +409,17 @@ def clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly]]:
 
 
 def scaled_sum(terms: Iterable[tuple[int | Fraction, Poly]]) -> tuple[Poly, int]:
-    """sum of q * f over the terms (q, f), as an integer polynomial and the denominator it is over."""
+    """sum of q * f over the terms (q, f), as an integer polynomial and the denominator it is over.
+    The coefficients add up in one list of ints."""
     terms = list(terms)
-    scale = lcm(*(Fraction(q).denominator for q, _ in terms))
-    return sum((int(q * scale) * f for q, f in terms), _ZERO), scale
+    scale = lcm(*(q.denominator for q, _ in terms))
+    out: list[int] = []
+    for q, f in terms:
+        c = q.numerator * (scale // q.denominator)
+        out.extend([0] * (len(f.coeffs) - len(out)))
+        for i, x in enumerate(f.coeffs):
+            out[i] += c * x
+    return Poly(out), scale
 
 
 def linear_combination(terms: Iterable[tuple[int | Fraction, RatFunc]]) -> RatFunc:

@@ -27,9 +27,11 @@ from .integrate import error_order, integrate_monomial
 from .weights import solve_weight, verify_conditions
 from .wick import Ensemble, MonomialSpec, gaussian_trace_moment
 
-#: The largest kappa run without a warning: cold `verify` in the slowest ensemble, the COE, takes about 5.5 s
-#: at 9 and 20 s at 10 on two cores.
-_COST_WARNING_KAPPA = 9
+#: The largest kappa each command runs without a warning: above it a cold run in the slowest ensemble, the COE,
+#: passes about 10 s on two cores.  `weights` takes 7.3 s at 14 and 18 s at 15, and `verify` 5.0 s at 9 and 11 s
+#: at 10.  `integrate` of a monomial of degree 2 kappa takes 2.1 s at 7, where it enumerates 135135 index
+#: structures; at 8 it enumerates 15 times as many.
+_COST_WARNING_KAPPA = {"weights": 14, "integrate": 7, "verify": 9}
 
 
 def _ensemble(text: str) -> Ensemble:
@@ -61,17 +63,18 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
     return factors
 
 
-def _warn_cost(kappa: int) -> None:
-    if kappa > _COST_WARNING_KAPPA:
-        print(
-            f"warning: kappa={kappa} may take long: the weight has a coefficient for each partition of weight "
-            f"<= {kappa}, and verify sums trace moments up to degree {4 * kappa + 2}",
-            file=sys.stderr,
-        )
+def _warn_cost(command: str, kappa: int) -> None:
+    if kappa > _COST_WARNING_KAPPA[command]:
+        why = {
+            "weights": f"the weight has a coefficient for each partition of weight <= {kappa}",
+            "integrate": f"a monomial of degree {2 * kappa} has up to {2 * kappa - 1}!! index structures",
+            "verify": f"verify sums trace moments up to degree {4 * kappa + 2}",
+        }[command]
+        print(f"warning: {command} at kappa={kappa} may take long: {why}", file=sys.stderr)
 
 
 def _cmd_weights(args) -> int:
-    _warn_cost(args.kappa)
+    _warn_cost("weights", args.kappa)
     weight = solve_weight(args.ensemble, args.kappa)
     if args.format == "json":
         json.dump(weight.to_json(), sys.stdout, indent=2)
@@ -91,7 +94,7 @@ def _cmd_moment(args) -> int:
 def _cmd_integrate(args) -> int:
     if args.format == "json" and args.at is not None:
         raise ValueError("--at applies to text output only; drop it or --format json")
-    _warn_cost(args.kappa)
+    _warn_cost("integrate", args.kappa)
     monomial = MonomialSpec.parse(args.monomial)
     monomial.validate(args.ensemble)
     weight = solve_weight(args.ensemble, args.kappa)
@@ -117,7 +120,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _warn_cost(args.kappa)
+    _warn_cost("verify", args.kappa)
     weight = solve_weight(args.ensemble, args.kappa)
     ok = True
     for k in range(1, args.kappa + 1):

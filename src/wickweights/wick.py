@@ -334,10 +334,19 @@ def _fillings(parts: Partition, boxes: Partition) -> int:
                for j, size in enumerate(boxes) if size >= parts[0])
 
 
+class _Jack(NamedTuple):
+    """One Jack polynomial of a _jack_table: J_theta = scale v in power sums."""
+
+    offsets: tuple[int, ...]  # alpha j - i for the boxes (i, j) of theta, counted from 0
+    v: tuple[int, ...]  # coefficients of the power sums, in partitions_of order, with content 1
+    norm: int  # <v, v>, so that j_theta = <J_theta, J_theta> = scale^2 norm
+    scale: Fraction
+
+
 @functools.cache
-def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[tuple[tuple, tuple, Fraction], ...]]:
-    """z^alpha_mu = z_mu alpha^len(mu) per class, and for each partition theta
-    the offsets alpha j - i of its boxes, J_theta and j_theta = <J_theta, J_theta>.
+def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[_Jack, ...]]:
+    """z^alpha_mu = z_mu alpha^len(mu) per class, and a _Jack for each partition
+    theta of k, in partitions_of order.
 
     J_theta is the Jack polynomial J^(alpha)_theta written in power sums.  The
     Jack polynomials are orthogonal under <p_lam, p_mu> = delta z^alpha_mu and
@@ -347,24 +356,31 @@ def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[tuple[tuple,
     sum_mu R_(mu,theta) p_mu / z^alpha_mu, from (k) down in partitions_of
     order, therefore yields it up to a scalar, which J_theta(1^n) = Z_theta(n)
     (Macdonald, VI (10.20)) fixes at n = k + 2.
+
+    The Gram-Schmidt is fraction-free.  It starts from the integer vector
+    lcm(z) g_theta and, for each earlier v_phi with <v, v_phi> = a and
+    <v_phi, v_phi> = b, takes v <- (b v - a v_phi) / gcd(a, b), which keeps
+    its direction orthogonal to v_phi; the content of v is removed once per
+    theta.  Only J_theta(1^n) = scale sum_mu v_mu n^len(mu) is a fraction.
     """
     classes = list(partitions_of(k))
     z = tuple(alpha ** len(mu) * math.prod(x ** n * math.factorial(n) for x, n in Counter(mu).items())
               for mu in classes)
-
-    def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return sum((w * a * b for w, a, b in zip(z, u, v)), Fraction(0))
-
-    jacks = []
+    top = math.lcm(*z)
+    jacks: list[_Jack] = []
     for theta in classes:
-        p = tuple(Fraction(_fillings(mu, theta), w) for mu, w in zip(classes, z))
-        for _, q, norm in jacks:
-            f = dot(p, q) / norm
-            p = tuple(a - f * b for a, b in zip(p, q))
+        v = [_fillings(mu, theta) * (top // w) for mu, w in zip(classes, z)]
+        for phi in jacks:
+            a = sum(w * x * y for w, x, y in zip(z, v, phi.v))
+            if a:
+                g = math.gcd(a, phi.norm)
+                b, a = phi.norm // g, a // g
+                v = [b * x - a * y for x, y in zip(v, phi.v)]
+        content = math.gcd(*v)
+        v = tuple(x // content for x in v)
         offsets = tuple(_skew(theta, (), alpha))
-        scale = math.prod(k + 2 + x for x in offsets) / sum(a * (k + 2) ** len(mu) for a, mu in zip(p, classes))
-        p = tuple(a * scale for a in p)
-        jacks.append((offsets, p, dot(p, p)))
+        scale = Fraction(math.prod(k + 2 + x for x in offsets), sum(x * (k + 2) ** len(mu) for x, mu in zip(v, classes)))
+        jacks.append(_Jack(offsets, v, sum(w * x * x for w, x in zip(z, v)), scale))
     return z, tuple(jacks)
 
 
@@ -374,8 +390,12 @@ def _skew(theta: Partition, sigma: Partition, alpha: int) -> list[int]:
 
 
 def _boxes(offsets: Iterable[int], shift: int = 0) -> Poly:
-    """prod over the offsets x of (N + shift + x): Z_theta(N + shift) for the boxes of theta."""
-    return math.prod((Poly((shift + x, 1)) for x in offsets), start=Poly((1,)))
+    """prod over the offsets x of (N + shift + x): Z_theta(N + shift) for the boxes of theta.
+    Each factor turns the coefficients e_i into (shift + x) e_i + e_(i-1)."""
+    coeffs = [1]
+    for x in offsets:
+        coeffs = [(shift + x) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return Poly(coeffs)
 
 
 def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequence[int]) -> list[RatFunc]:
@@ -390,19 +410,24 @@ def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequenc
     Phys. 91 (2010)), so no matrix is formed:
 
         c_mu = sum_theta z^alpha_mu J_theta[mu] (sum_lam J_theta[lam] T_lam)
-                         / (j_theta prod_s Z_theta(N + s)).
+                         / (j_theta prod_s Z_theta(N + s)),
+
+    in which the scale of J_theta cancels, so the integer v_theta of
+    _jack_table stands for it.  The targets are cleared once, each
+    projection is reduced once, and the projections are cleared once more
+    for the integer sums over theta.
     """
     z, jacks = _jack_table(k, alpha)
-    terms: list[list] = [[] for _ in z]
-    for offsets, p, norm in jacks:
-        proj = linear_combination((a, t) for a, t in zip(p, targets) if a and t)
+    den, nums = clear_denominators(targets)
+    live, projs = [], []
+    for jack in jacks:
+        proj, _ = scaled_sum((a, t) for a, t in zip(jack.v, nums) if a and t)
         if proj:
-            eigenvalue = math.prod((_boxes(offsets, s) for s in shifts), start=Poly((norm.numerator,)))
-            proj = proj * RatFunc(norm.denominator, eigenvalue)
-            for mu, (w, a) in enumerate(zip(z, p)):
-                if a:
-                    terms[mu].append((w * a, proj))
-    return [linear_combination(t) for t in terms]
+            eigenvalue = math.prod((_boxes(jack.offsets, s) for s in shifts), start=den * jack.norm)
+            live.append(jack.v)
+            projs.append(RatFunc(proj, eigenvalue))
+    den, nums = clear_denominators(projs)
+    return [RatFunc(w * scaled_sum((v[mu], f) for v, f in zip(live, nums) if v[mu])[0], den) for mu, w in enumerate(z)]
 
 
 @functools.cache
@@ -411,29 +436,36 @@ def _binomials(k: int, alpha: int) -> tuple[dict[Partition, Fraction], ...]:
     J_theta(1 + x) / J_theta(1^n) = sum_sigma binom(theta, sigma) J_sigma(x) / J_sigma(1^n)
     for any n >= len(theta), and binom(theta, sigma) = 0 unless sigma lies inside
     theta (Lassalle, C. R. Acad. Sci. Paris 312 (1991)).  At n = k + 2, p_j(x + 1) =
-    sum_i C(j, i) p_i(x) with p_0 = n writes J_theta(1 + x) in power sums of x, and
-    the inner product of _jack_table projects each degree onto the J_sigma.
+    sum_i C(j, i) p_i(x) with p_0 = n writes p_mu(1 + x) = sum_lam t_mu[lam] p_lam(x),
+    and the inner product of _jack_table projects each degree onto the J_sigma.  With
+    J = scale v as in _jack_table, the sums are over integers,
+
+        R_sigma[mu] = sum_lam t_mu[lam] z^alpha_lam v_sigma[lam],
+        binom(theta, sigma) = scale_theta Z_sigma(n) / (Z_theta(n) scale_sigma <v_sigma, v_sigma>)
+                              sum_mu v_theta[mu] R_sigma[mu],
+
+    and each binomial is one fraction.
     """
     n, classes = k + 2, list(partitions_of(k))
-    shifted = []  # p_mu(x + 1) in power sums of x
+    shifted = []  # t_mu, p_mu(x + 1) in power sums of x
     for mu in classes:
         terms: dict[Partition, int] = Counter()
         for picks in itertools.product(*(range(part + 1) for part in mu)):
             key = tuple(sorted(filter(None, picks), reverse=True))
             terms[key] += math.prod(math.comb(part, i) for part, i in zip(mu, picks)) * n ** picks.count(0)
         shifted.append(terms)
-    rows = {}  # sigma -> the coefficient of J_sigma(x) / J_sigma(1^n) in each p_mu(x + 1)
+    rows = {}  # sigma -> Z_sigma(n) / (scale_sigma <v_sigma, v_sigma>) and R_sigma
     for m in range(k + 1):
         z, jacks = _jack_table(m, alpha)
-        for sigma, (offsets, q, norm) in zip(partitions_of(m), jacks):
-            at_ones = math.prod(n + x for x in offsets) / norm
-            dual = [(lam, w * a * at_ones) for lam, w, a in zip(partitions_of(m), z, q)]
-            rows[sigma] = [sum(t[lam] * a for lam, a in dual if lam in t) for t in shifted]
+        for sigma, jack in zip(partitions_of(m), jacks):
+            dual = [(lam, w * a) for lam, w, a in zip(partitions_of(m), z, jack.v) if a]
+            rows[sigma] = (math.prod(n + x for x in jack.offsets) / (jack.scale * jack.norm),
+                           [sum(t[lam] * a for lam, a in dual if lam in t) for t in shifted])
     out = []
-    for offsets, p, _ in _jack_table(k, alpha)[1]:
-        at_ones = math.prod(n + x for x in offsets)
-        binom = {sigma: sum(a * b for a, b in zip(p, row)) / at_ones for sigma, row in rows.items()}
-        out.append({sigma: b for sigma, b in binom.items() if b})
+    for jack in _jack_table(k, alpha)[1]:
+        lead = jack.scale / math.prod(n + x for x in jack.offsets)
+        binom = {sigma: sum(a * b for a, b in zip(jack.v, row)) for sigma, (_, row) in rows.items()}
+        out.append({sigma: lead * rows[sigma][0] * b for sigma, b in binom.items() if b})
     return tuple(out)
 
 
@@ -455,7 +487,9 @@ def kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
         a_mu = (-d)^m sum_(sigma of m) J_sigma[mu] / Z_sigma(N + s) sum_(theta containing sigma)
                binom(theta, sigma) ell_theta Z_theta(N) / (j_theta Z_sigma(N)),
 
-    summed over the lcm of the Z_sigma(N + s) and reduced once.
+    summed over the lcm of the Z_sigma(N + s) and reduced once.  With J_sigma = scale_sigma
+    v_sigma as in _jack_table, scale_sigma joins the inner sum, and the outer sum has the
+    integer multipliers v_sigma[mu] over one denominator per m.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -466,18 +500,21 @@ def kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
     for theta, binom in binoms.items():
         ell, scale = scaled_sum(((-1) ** sum(sigma) * b, _boxes([0] * sum(sigma) + _skew(theta, sigma, alpha), s))
                                 for sigma, b in binom.items())
+        over = 1 / (jacks[theta].scale ** 2 * jacks[theta].norm * scale)
         for sigma, b in binom.items():
-            inner[sigma].append((b / (jacks[theta][2] * scale), ell * _boxes(_skew(theta, sigma, alpha))))
+            inner[sigma].append((b * jacks[sigma].scale * over, ell * _boxes(_skew(theta, sigma, alpha))))
     out = {}
     for m in range(kappa + 1):
         sigmas = list(partitions_of(m))
-        lcm = functools.reduce(Counter.__or__, (Counter(jacks[sigma][0]) for sigma in sigmas))
+        lcm = functools.reduce(Counter.__or__, (Counter(jacks[sigma].offsets) for sigma in sigmas))
         sums = [scaled_sum(inner[sigma]) for sigma in sigmas]
-        sums = [(f * _boxes((lcm - Counter(jacks[sigma][0])).elements(), s), q) for sigma, (f, q) in zip(sigmas, sums)]
-        lead, den = (-ensemble.pair_denominator) ** m, _boxes(lcm.elements(), s)
+        q = math.lcm(*(q for _, q in sums))
+        sums = [f * (q // f_q) * _boxes((lcm - Counter(jacks[sigma].offsets)).elements(), s)
+                for sigma, (f, f_q) in zip(sigmas, sums)]
+        lead, den = (-ensemble.pair_denominator) ** m, _boxes(lcm.elements(), s) * q
         for i, mu in enumerate(sigmas):
-            num, scale = scaled_sum((jacks[sigma][1][i] / q, f) for sigma, (f, q) in zip(sigmas, sums))
-            out[mu] = RatFunc(lead * num, den * scale)
+            num, _ = scaled_sum((jacks[sigma].v[i], f) for sigma, f in zip(sigmas, sums) if jacks[sigma].v[i])
+            out[mu] = RatFunc(lead * num, den)
     return out
 
 

@@ -29,6 +29,11 @@ foundations:
   engine, which outputs expansions but never computes with them, does not
   carry.  The engine takes one cumulant per class of index structure.
 
+* reference_jack_table and reference_binomials: the Jack polynomials by
+  Gram-Schmidt in Fraction arithmetic, and the generalized binomials
+  projected with them.  The engine runs the Gram-Schmidt fraction-free and
+  sums the binomials over integers.
+
 * prs_gcd: the polynomial gcd by the primitive pseudo-remainder sequence
   over Z.  The engine's poly_gcd instead runs Euclid modulo primes and
   lifts by the Chinese remainder theorem.
@@ -38,6 +43,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -498,6 +505,67 @@ def reference_class_matrix(orthogonal: bool, k: int, shift: int = 0) -> list[lis
     base = Poly((shift, 1))
     return [[RatFunc(sum((n * base ** loops for loops, n in cell.items()), Poly())) for cell in row]
             for row in _loop_table(orthogonal, k)]
+
+
+# -- Jack polynomials and generalized binomials ----------------------------------------------
+
+
+def reference_jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[tuple[tuple, tuple, Fraction], ...]]:
+    """z^alpha_mu per class of k, and (offsets, J_theta, j_theta) per partition theta,
+    by Gram-Schmidt in Fraction arithmetic on g_theta = sum_mu R_(mu,theta) p_mu / z^alpha_mu.
+
+    J_theta is in power sums, scaled so that J_theta(1^n) = Z_theta(n) at n = k + 2,
+    and j_theta = <J_theta, J_theta>.  The engine's wick._jack_table runs the same
+    Gram-Schmidt fraction-free and keeps J_theta as a scale times an integer vector.
+    """
+    from wickweights.wick import _fillings, _skew
+
+    classes = list(partitions_of(k))
+    z = tuple(alpha ** len(mu) * math.prod(x ** n * math.factorial(n) for x, n in Counter(mu).items())
+              for mu in classes)
+
+    def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+        return sum((w * a * b for w, a, b in zip(z, u, v)), Fraction(0))
+
+    jacks = []
+    for theta in classes:
+        p = tuple(Fraction(_fillings(mu, theta), w) for mu, w in zip(classes, z))
+        for _, q, norm in jacks:
+            f = dot(p, q) / norm
+            p = tuple(a - f * b for a, b in zip(p, q))
+        offsets = tuple(_skew(theta, (), alpha))
+        scale = math.prod(k + 2 + x for x in offsets) / sum(a * (k + 2) ** len(mu) for a, mu in zip(p, classes))
+        p = tuple(a * scale for a in p)
+        jacks.append((offsets, p, dot(p, p)))
+    return z, tuple(jacks)
+
+
+def reference_binomials(k: int, alpha: int) -> list[dict[Partition, Fraction]]:
+    """binom(theta, sigma) for each theta of k, in partitions_of order, nonzero only,
+    all in Fraction arithmetic on reference_jack_table: J_theta(1 + x) in power sums of
+    x at n = k + 2, by p_j(x + 1) = sum_i C(j, i) p_i(x) with p_0 = n, projected onto
+    each J_sigma(x) / J_sigma(1^n) with the inner product of the Jack table."""
+    n, classes = k + 2, list(partitions_of(k))
+    shifted = []
+    for mu in classes:
+        terms: Counter = Counter()
+        for picks in itertools.product(*(range(part + 1) for part in mu)):
+            key = tuple(sorted(filter(None, picks), reverse=True))
+            terms[key] += math.prod(math.comb(part, i) for part, i in zip(mu, picks)) * n ** picks.count(0)
+        shifted.append(terms)
+    rows = {}
+    for m in range(k + 1):
+        z, jacks = reference_jack_table(m, alpha)
+        for sigma, (offsets, q, norm) in zip(partitions_of(m), jacks):
+            at_ones = Fraction(math.prod(n + x for x in offsets)) / norm
+            rows[sigma] = [sum((t[lam] * w * a * at_ones for lam, w, a in zip(partitions_of(m), z, q)), Fraction(0))
+                           for t in shifted]
+    out = []
+    for offsets, p, _ in reference_jack_table(k, alpha)[1]:
+        at_ones = math.prod(n + x for x in offsets)
+        binom = {sigma: sum((a * b for a, b in zip(p, row)), Fraction(0)) / at_ones for sigma, row in rows.items()}
+        out.append({sigma: b for sigma, b in binom.items() if b})
+    return out
 
 
 # -- polynomial gcd ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+from wickweights import cli
 from wickweights.cli import main
 
 
@@ -56,17 +57,21 @@ def test_unknown_ensemble_usage_error(capsys):
     assert code == 2
 
 
-def test_cost_warning_above_nine(capsys):
-    # the warning is printed before the monomial is parsed, so a bad
-    # monomial shows it without any solve; cold verify at kappa=9 takes seconds
-    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "10",
-                       "--monomial", "M[1,1")
-    assert code == 2
-    assert "warning" in err
-    code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "9",
-                       "--monomial", "M[1,1")
-    assert code == 2
-    assert "warning" not in err and "error" in err
+def test_cost_warning_per_command(capsys, monkeypatch):
+    # each command warns above its own kappa, before any work: the monomial
+    # is parsed after the warning, and the patched solve refuses at once
+    def refuse(ensemble, kappa):
+        raise ValueError("not solved")
+
+    monkeypatch.setattr(cli, "solve_weight", refuse)
+    for command, quiet in (("weights", 14), ("integrate", 7), ("verify", 9)):
+        extra = ("--monomial", "M[1,1") if command == "integrate" else ()
+        for kappa in (quiet, quiet + 1):
+            code, _, err = run(capsys, command, "--ensemble", "coe", "--kappa", str(kappa), *extra)
+            assert code == 2 and "error" in err
+            assert ("warning" in err) == (kappa > quiet), (command, kappa)
+    _, _, err = run(capsys, "integrate", "--ensemble", "coe", "--kappa", "8", "--monomial", "M[1,1")
+    assert "degree 16 has up to 15!! index structures" in err
 
 
 # verify-cli's session: verify at kappa=3 in each ensemble and six integrals, one of them unitary kappa=4

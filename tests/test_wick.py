@@ -19,9 +19,11 @@ from helpers import (
     oracle_concrete_moment,
     oracle_trace_moment,
     product,
+    reference_binomials,
     reference_class_matrix,
     reference_coe_matrix,
     reference_expansion,
+    reference_jack_table,
     rename,
     scale,
 )
@@ -246,6 +248,47 @@ def test_class_solve_matches_reference_matrix(orthogonal, k):
     assert _class_solve(k, alpha, targets, (0, 0)) == twice
     shifted = solve_linear_system(reference_class_matrix(orthogonal, k, 1), once)
     assert _class_solve(k, alpha, targets, (0, 1)) == shifted
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_jack_table_matches_fraction_reference(alpha):
+    # the fraction-free Gram-Schmidt gives the Fraction one's J_theta and j_theta
+    from wickweights.wick import _jack_table
+
+    for k in range(9):
+        z, jacks = _jack_table(k, alpha)
+        want_z, want = reference_jack_table(k, alpha)
+        assert z == want_z, k
+        assert [(j.offsets, tuple(j.scale * x for x in j.v), j.scale ** 2 * j.norm) for j in jacks] == list(want), k
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_binomials_known_values(alpha):
+    # binom(theta, 0) = binom(theta, theta) = 1 and binom(theta, (1)) = |theta|
+    from wickweights.wick import _binomials
+
+    for k in range(8):
+        for theta, binom in zip(partitions_of(k), _binomials(k, alpha)):
+            assert binom[()] == 1 and binom[theta] == 1, theta
+            if k:
+                assert binom[(1,)] == k, theta
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_binomials_match_fraction_reference(alpha):
+    from wickweights.wick import _binomials
+
+    for k in range(7):
+        assert list(_binomials(k, alpha)) == reference_binomials(k, alpha), k
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("offsets", [(), (3,), (0, 0, 0), (-2, 1, -2, 4), (-1, -3, 0, 2, 2)])
+def test_boxes_is_the_product_of_linear_factors(offsets, shift):
+    from wickweights.wick import _boxes
+
+    assert _boxes(offsets, shift) == math.prod((Poly((shift + x, 1)) for x in offsets), start=Poly((1,)))
+    assert _boxes(iter(offsets), shift) == _boxes(offsets, shift)
 
 
 def test_coe_degree_12_literal():
