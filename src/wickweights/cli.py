@@ -28,10 +28,12 @@ from .weights import solve_weight, verify_conditions
 from .wick import Ensemble, MonomialSpec, gaussian_trace_moment
 
 #: The largest kappa each command runs without a warning: above it a cold run in the slowest ensemble, the COE,
-#: passes about 10 s on two cores.  `weights` takes 7.3 s at 14 and 18 s at 15, and `verify` 5.0 s at 9 and 11 s
-#: at 10.  `integrate` of a monomial of degree 2 kappa takes 2.1 s at 7, where it enumerates 135135 index
-#: structures; at 8 it enumerates 15 times as many.
-_COST_WARNING_KAPPA = {"weights": 14, "integrate": 7, "verify": 9}
+#: passes about 10 s on two cores.  `weights` takes 4.6 s at 14 and 11 s at 15, and `verify` 5.0 s at 9 and 11 s
+#: at 10.  `integrate` solves the same weight as `weights`.
+_COST_WARNING_KAPPA = {"weights": 14, "integrate": 14, "verify": 9}
+#: The most factors of a monomial `integrate` takes without a warning: at 14 it enumerates 135135 index
+#: structures, in 2.2 s and 97 MB in the COE, and at 16 15 times as many.
+_COST_WARNING_FACTORS = 14
 
 
 def _ensemble(text: str) -> Ensemble:
@@ -63,13 +65,14 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
     return factors
 
 
-def _warn_cost(command: str, kappa: int) -> None:
+def _warn_cost(command: str, kappa: int, factors: int = 0) -> None:
+    whys = []
     if kappa > _COST_WARNING_KAPPA[command]:
-        why = {
-            "weights": f"the weight has a coefficient for each partition of weight <= {kappa}",
-            "integrate": f"a monomial of degree {2 * kappa} has up to {2 * kappa - 1}!! index structures",
-            "verify": f"verify sums trace moments up to degree {4 * kappa + 2}",
-        }[command]
+        whys.append(f"verify sums trace moments up to degree {4 * kappa + 2}" if command == "verify"
+                    else f"the weight has a coefficient for each partition of weight <= {kappa}")
+    if factors > _COST_WARNING_FACTORS:
+        whys.append(f"a monomial of degree {factors} has up to {factors // 2 * 2 - 1}!! index structures")
+    for why in whys:
         print(f"warning: {command} at kappa={kappa} may take long: {why}", file=sys.stderr)
 
 
@@ -94,9 +97,9 @@ def _cmd_moment(args) -> int:
 def _cmd_integrate(args) -> int:
     if args.format == "json" and args.at is not None:
         raise ValueError("--at applies to text output only; drop it or --format json")
-    _warn_cost("integrate", args.kappa)
     monomial = MonomialSpec.parse(args.monomial)
     monomial.validate(args.ensemble)
+    _warn_cost("integrate", args.kappa, len(monomial.slots))
     weight = solve_weight(args.ensemble, args.kappa)
     expansion = integrate_monomial(weight, monomial)
     if args.format == "json":

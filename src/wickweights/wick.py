@@ -354,14 +354,14 @@ def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[_Jack, ...]]
     Symmetric Functions and Hall Polynomials, VI.10), so it is orthogonal to
     the dual basis g_mu of every mu above theta.  Gram-Schmidt on g_theta =
     sum_mu R_(mu,theta) p_mu / z^alpha_mu, from (k) down in partitions_of
-    order, therefore yields it up to a scalar, which J_theta(1^n) = Z_theta(n)
-    (Macdonald, VI (10.20)) fixes at n = k + 2.
+    order, therefore yields it up to a scalar, which the coefficient 1 of
+    J_theta on p_1^k (Stanley, Adv. Math. 77 (1989)) fixes.
 
     The Gram-Schmidt is fraction-free.  It starts from the integer vector
     lcm(z) g_theta and, for each earlier v_phi with <v, v_phi> = a and
     <v_phi, v_phi> = b, takes v <- (b v - a v_phi) / gcd(a, b), which keeps
     its direction orthogonal to v_phi; the content of v is removed once per
-    theta.  Only J_theta(1^n) = scale sum_mu v_mu n^len(mu) is a fraction.
+    theta.  p_1^k comes last in partitions_of order, so scale = 1 / v[-1].
     """
     classes = list(partitions_of(k))
     z = tuple(alpha ** len(mu) * math.prod(x ** n * math.factorial(n) for x, n in Counter(mu).items())
@@ -378,9 +378,7 @@ def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[_Jack, ...]]
                 v = [b * x - a * y for x, y in zip(v, phi.v)]
         content = math.gcd(*v)
         v = tuple(x // content for x in v)
-        offsets = tuple(_skew(theta, (), alpha))
-        scale = Fraction(math.prod(k + 2 + x for x in offsets), sum(x * (k + 2) ** len(mu) for x, mu in zip(v, classes)))
-        jacks.append(_Jack(offsets, v, sum(w * x * x for w, x in zip(z, v)), scale))
+        jacks.append(_Jack(tuple(_skew(theta, (), alpha)), v, sum(w * x * x for w, x in zip(z, v)), Fraction(1, v[-1])))
     return z, tuple(jacks)
 
 
@@ -431,42 +429,40 @@ def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequenc
 
 
 @functools.cache
-def _binomials(k: int, alpha: int) -> tuple[dict[Partition, Fraction], ...]:
-    """The nonzero generalized binomials of each theta of k, in partitions_of order:
-    J_theta(1 + x) / J_theta(1^n) = sum_sigma binom(theta, sigma) J_sigma(x) / J_sigma(1^n)
-    for any n >= len(theta), and binom(theta, sigma) = 0 unless sigma lies inside
-    theta (Lassalle, C. R. Acad. Sci. Paris 312 (1991)).  At n = k + 2, p_j(x + 1) =
-    sum_i C(j, i) p_i(x) with p_0 = n writes p_mu(1 + x) = sum_lam t_mu[lam] p_lam(x),
-    and the inner product of _jack_table projects each degree onto the J_sigma.  With
-    J = scale v as in _jack_table, the sums are over integers,
+def _down(phi: Partition, r: int, alpha: int) -> Fraction:
+    """binom(phi, sigma) for sigma = phi less the last box b of row r: the product over the
+    boxes s of phi left of b of (alpha a + l + alpha) / (alpha a + l), and over those above b
+    of (alpha a + l + 1) / (alpha a + l), with a and l the arm and leg of s in phi (Kaneko,
+    SIAM J. Math. Anal. 24 (1993))."""
+    j, depth = phi[r] - 1, [sum(part > c for part in phi) for c in range(phi[r])]  # b's column, column lengths
+    hooks = [(alpha * (j - c) + depth[c] - 1 - r, alpha) for c in range(j)]
+    hooks += [(alpha * (phi[i] - 1 - j) + depth[j] - 1 - i, 1) for i in range(r)]
+    return Fraction(math.prod(h + e for h, e in hooks), math.prod(h for h, _ in hooks))
 
-        R_sigma[mu] = sum_lam t_mu[lam] z^alpha_lam v_sigma[lam],
-        binom(theta, sigma) = scale_theta Z_sigma(n) / (Z_theta(n) scale_sigma <v_sigma, v_sigma>)
-                              sum_mu v_theta[mu] R_sigma[mu],
 
-    and each binomial is one fraction.
+@functools.cache
+def _binomials(theta: Partition, alpha: int) -> dict[Partition, Fraction]:
+    """The generalized binomials binom(theta, sigma) of J_theta(1 + x) / J_theta(1^n) =
+    sum_sigma binom(theta, sigma) J_sigma(x) / J_sigma(1^n), nonzero exactly for the sigma
+    inside theta (Lassalle, C. R. Acad. Sci. Paris 312 (1991)).  From binom(theta, theta) = 1
+    they follow one box at a time down from theta by Kaneko's recurrence (Dumitriu, Edelman
+    and Shuman, J. Symbolic Comput. 42 (2007)),
+
+        (|theta| - |sigma|) binom(theta, sigma) = sum_phi binom(phi, sigma) binom(theta, phi),
+
+    over the phi inside theta with one box more than sigma, each binom(phi, sigma) a _down.
     """
-    n, classes = k + 2, list(partitions_of(k))
-    shifted = []  # t_mu, p_mu(x + 1) in power sums of x
-    for mu in classes:
-        terms: dict[Partition, int] = Counter()
-        for picks in itertools.product(*(range(part + 1) for part in mu)):
-            key = tuple(sorted(filter(None, picks), reverse=True))
-            terms[key] += math.prod(math.comb(part, i) for part, i in zip(mu, picks)) * n ** picks.count(0)
-        shifted.append(terms)
-    rows = {}  # sigma -> Z_sigma(n) / (scale_sigma <v_sigma, v_sigma>) and R_sigma
-    for m in range(k + 1):
-        z, jacks = _jack_table(m, alpha)
-        for sigma, jack in zip(partitions_of(m), jacks):
-            dual = [(lam, w * a) for lam, w, a in zip(partitions_of(m), z, jack.v) if a]
-            rows[sigma] = (math.prod(n + x for x in jack.offsets) / (jack.scale * jack.norm),
-                           [sum(t[lam] * a for lam, a in dual if lam in t) for t in shifted])
-    out = []
-    for jack in _jack_table(k, alpha)[1]:
-        lead = jack.scale / math.prod(n + x for x in jack.offsets)
-        binom = {sigma: sum(a * b for a, b in zip(jack.v, row)) for sigma, (_, row) in rows.items()}
-        out.append({sigma: lead * rows[sigma][0] * b for sigma, b in binom.items() if b})
-    return tuple(out)
+    out, level = {theta: Fraction(1)}, [theta]
+    for gap in range(1, sum(theta) + 1):
+        sums: dict[Partition, Fraction] = {}
+        for phi in level:
+            for r in range(len(phi)):
+                if r + 1 == len(phi) or phi[r] > phi[r + 1]:
+                    sigma = phi[:r] + (phi[r] - 1,) * (phi[r] > 1) + phi[r + 1:]
+                    sums[sigma] = sums.get(sigma, 0) + _down(phi, r, alpha) * out[phi]
+        level = list(sums)
+        out.update((sigma, b / gap) for sigma, b in sums.items())
+    return out
 
 
 def kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
@@ -487,17 +483,18 @@ def kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
         a_mu = (-d)^m sum_(sigma of m) J_sigma[mu] / Z_sigma(N + s) sum_(theta containing sigma)
                binom(theta, sigma) ell_theta Z_theta(N) / (j_theta Z_sigma(N)),
 
-    summed over the lcm of the Z_sigma(N + s) and reduced once.  With J_sigma = scale_sigma
-    v_sigma as in _jack_table, scale_sigma joins the inner sum, and the outer sum has the
-    integer multipliers v_sigma[mu] over one denominator per m.
+    summed over the lcm of the Z_sigma(N + s) and reduced once.  The binom(theta, sigma) of
+    each theta come from one _binomials(theta).  With J_sigma = scale_sigma v_sigma as in
+    _jack_table, scale_sigma = 1 / v_sigma[1^m] joins the inner sum, and the outer sum has
+    the integer multipliers v_sigma[mu] over one denominator per m.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     alpha, s = (1, 0) if ensemble is Ensemble.UNITARY else (2, int(ensemble is Ensemble.COE))
     jacks = {theta: jack for k in range(kappa + 1) for theta, jack in zip(partitions_of(k), _jack_table(k, alpha)[1])}
-    binoms = dict(zip(jacks, (binom for k in range(kappa + 1) for binom in _binomials(k, alpha))))
     inner: dict[Partition, list] = {theta: [] for theta in jacks}  # sigma -> the terms of its sum over theta
-    for theta, binom in binoms.items():
+    for theta in jacks:
+        binom = _binomials(theta, alpha)
         ell, scale = scaled_sum(((-1) ** sum(sigma) * b, _boxes([0] * sum(sigma) + _skew(theta, sigma, alpha), s))
                                 for sigma, b in binom.items())
         over = 1 / (jacks[theta].scale ** 2 * jacks[theta].norm * scale)

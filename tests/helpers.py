@@ -130,6 +130,17 @@ def expansion_from_json(obj: list) -> DeltaExpansion:
     return DeltaExpansion(terms)
 
 
+def clear_engine_memos() -> set:
+    """Empty every memo of wickweights.wick, each object there with cache_clear, so that
+    what a test computes next is recomputed from nothing; return the memos."""
+    from wickweights import wick
+
+    memos = {f for f in vars(wick).values() if hasattr(f, "cache_clear")}
+    for memo in memos:
+        memo.cache_clear()
+    return memos
+
+
 def delta_product_target(k: int) -> DeltaExpansion:
     """The target-space value of the entrywise product: d(i1,l1)...d(ik,lk)."""
     structure, _ = contract_deltas([(f"i{v}", f"l{v}") for v in range(1, k + 1)], ())

@@ -58,20 +58,27 @@ def test_unknown_ensemble_usage_error(capsys):
 
 
 def test_cost_warning_per_command(capsys, monkeypatch):
-    # each command warns above its own kappa, before any work: the monomial
-    # is parsed after the warning, and the patched solve refuses at once
+    # each command warns above its own kappa, and integrate also above 14
+    # factors, before any work: the patched solve refuses at once
     def refuse(ensemble, kappa):
         raise ValueError("not solved")
 
     monkeypatch.setattr(cli, "solve_weight", refuse)
-    for command, quiet in (("weights", 14), ("integrate", 7), ("verify", 9)):
-        extra = ("--monomial", "M[1,1") if command == "integrate" else ()
+    for command, quiet in (("weights", 14), ("integrate", 14), ("verify", 9)):
+        extra = ("--monomial", "M[1,1] Mc[1,1]") if command == "integrate" else ()
         for kappa in (quiet, quiet + 1):
             code, _, err = run(capsys, command, "--ensemble", "coe", "--kappa", str(kappa), *extra)
             assert code == 2 and "error" in err
             assert ("warning" in err) == (kappa > quiet), (command, kappa)
-    _, _, err = run(capsys, "integrate", "--ensemble", "coe", "--kappa", "8", "--monomial", "M[1,1")
+    for pairs in (7, 8):
+        monomial = " ".join(["M[1,1] Mc[1,1]"] * pairs)
+        code, _, err = run(capsys, "integrate", "--ensemble", "coe", "--kappa", "1", "--monomial", monomial)
+        assert code == 2 and "error" in err
+        assert ("warning" in err) == (pairs > 7), pairs
     assert "degree 16 has up to 15!! index structures" in err
+    # the monomial is parsed first: one that does not parse warns of nothing
+    code, _, err = run(capsys, "integrate", "--ensemble", "coe", "--kappa", "15", "--monomial", "M[1,1")
+    assert code == 2 and "error" in err and "warning" not in err
 
 
 # verify-cli's session: verify at kappa=3 in each ensemble and six integrals, one of them unitary kappa=4

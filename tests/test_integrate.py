@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     FreshSummed,
     add,
+    clear_engine_memos,
     cumulants_from_moments,
     delta_product_target,
     evaluate_expansion,
@@ -259,10 +260,7 @@ GRAM_FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "gram_products
 def test_gram_product_fixture_recomputed():
     # expansions of the former pairing-walk engine, degree up to 18, with
     # every weight and trace moment recomputed from nothing
-    from wickweights import wick
-
-    for memo in (wick._loop_numerator, wick._structures, wick._fillings, wick._jack_table):
-        memo.cache_clear()
+    clear_engine_memos()
     entries = json.loads(GRAM_FIXTURE.read_text())
     assert len(entries) == 41
     for e in entries:

@@ -3,7 +3,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from helpers import weight_from_json
+from helpers import clear_engine_memos, weight_from_json
 
 from wickweights import Ensemble, gaussian_trace_moment
 from wickweights.algebra import N, Poly, RatFunc
@@ -131,10 +131,7 @@ def _recompute_weight_fixture(name: str) -> list[tuple[str, int]]:
     """Solve every table of tests/data/<name> from nothing and compare with ==."""
     from wickweights import wick
 
-    caches = [f for f in vars(wick).values() if hasattr(f, "cache_clear")]
-    assert {wick._jack_table, wick._binomials, wick._fillings} <= set(caches)
-    for memo in caches:
-        memo.cache_clear()
+    assert {wick._jack_table, wick._binomials, wick._down, wick._fillings} <= clear_engine_memos()
     entries = json.loads((DATA / name).read_text())
     for e in entries:
         want = weight_from_json(e)

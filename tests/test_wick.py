@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     FreshSummed,
     add,
+    clear_engine_memos,
     cumulants_from_moments,
     evaluate_expansion,
     expansion_from_json,
@@ -204,10 +205,7 @@ def test_entry_moment_fixture_recomputed():
     # every ensemble, the unit weight and kappa 1-3 up to degree 8 with
     # free, concrete and repeated labels, the CLI benchmark's six monomials
     # and orthogonal kappa=4 M[1,1]^8
-    from wickweights import wick
-
-    for memo in (wick._loop_numerator, wick._structures, wick._fillings, wick._jack_table):
-        memo.cache_clear()
+    clear_engine_memos()
     entries = json.loads(ENTRY_FIXTURE.read_text())
     assert len(entries) == 336
     weights = {}
@@ -262,16 +260,30 @@ def test_jack_table_matches_fraction_reference(alpha):
         assert [(j.offsets, tuple(j.scale * x for x in j.v), j.scale ** 2 * j.norm) for j in jacks] == list(want), k
 
 
+def _hook_product(lam: tuple) -> int:
+    legs = [sum(part > j for part in lam) for j in range(lam[0])] if lam else []
+    return math.prod(row - j + legs[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+
+
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_binomials_known_values(alpha):
-    # binom(theta, 0) = binom(theta, theta) = 1 and binom(theta, (1)) = |theta|
+    # binom(theta, 0) = binom(theta, theta) = 1; at x = t 1^n the definition reads
+    # (1 + t)^|theta| = sum_sigma binom(theta, sigma) t^|sigma|, so the binomials of
+    # each size s sum to C(|theta|, s); and at alpha = 1, where J_theta = H_theta s_theta
+    # with H_theta the product of the hook lengths, binom(theta, theta - b) = H_theta / H_(theta - b)
     from wickweights.wick import _binomials
 
-    for k in range(8):
-        for theta, binom in zip(partitions_of(k), _binomials(k, alpha)):
+    for k in range(11):
+        for theta in partitions_of(k):
+            binom = _binomials(theta, alpha)
             assert binom[()] == 1 and binom[theta] == 1, theta
-            if k:
-                assert binom[(1,)] == k, theta
+            for s in range(k + 1):
+                assert sum(b for sigma, b in binom.items() if sum(sigma) == s) == math.comb(k, s), (theta, s)
+            if alpha == 1:
+                for r, row in enumerate(theta):
+                    if r + 1 == len(theta) or row > theta[r + 1]:
+                        sigma = tuple(filter(None, theta[:r] + (row - 1,) + theta[r + 1:]))
+                        assert binom[sigma] == Fraction(_hook_product(theta), _hook_product(sigma)), (theta, r)
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
@@ -279,7 +291,7 @@ def test_binomials_match_fraction_reference(alpha):
     from wickweights.wick import _binomials
 
     for k in range(7):
-        assert list(_binomials(k, alpha)) == reference_binomials(k, alpha), k
+        assert [_binomials(theta, alpha) for theta in partitions_of(k)] == reference_binomials(k, alpha), k
 
 
 @pytest.mark.parametrize("shift", [0, 1])
