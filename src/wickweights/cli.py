@@ -43,14 +43,20 @@ def _ensemble(text: str) -> Ensemble:
         raise argparse.ArgumentTypeError(f"unknown ensemble {text!r}; choose orthogonal, unitary or coe")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return v
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if v < low:
+            raise argparse.ArgumentTypeError(f"value must be >= {low}")
+        return v
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _parse_invariants(text: str) -> list[tuple[int, ...]]:
@@ -197,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monomial", required=True)
     p.add_argument("--N", type=_positive_int, required=True, help="matrix dimension")
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--expect", default=None,
                    help="exact rational to cross-check against, e.g. 1/8")
     p.set_defaults(func=_cmd_sample)

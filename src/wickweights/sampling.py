@@ -3,23 +3,28 @@
 This is the only module that touches floating point.  It exists to
 cross-check the symbolic results at concrete dimensions:
 
-* orthogonal: QR of a real Gaussian matrix with the signs of the triangular
-  factor's diagonal pushed into Q.  Without that sign fix the distribution
-  is NOT Haar -- the classic sampling bug.
-* unitary: same construction from a complex Gaussian matrix, with phases
-  instead of signs.
+* orthogonal: Gram-Schmidt on the columns of a real Gaussian matrix.  It
+  gives the triangular factor a positive diagonal, the choice that makes
+  the distribution Haar (Mezzadri 2007); a QR routine that leaves the
+  signs of that diagonal free does NOT -- the classic sampling bug.
+* unitary: the same construction from a complex Gaussian matrix.
 * coe: S = U^T U with U Haar unitary, the standard construction of
   symmetric unitary matrices with the invariant measure.
 
-A monomial is averaged from only the columns it reads: the QR of an n x c
-Gaussian block, with the same sign or phase fix, gives the first c columns
-of a Haar matrix (Stewart 1980; Mezzadri 2007), where c is the largest
-column index (for the COE, the largest index of either kind, since
-S_ij = sum_k U_ki U_kj reads columns i and j of U).  Sampling is
-vectorized over stacked blocks in batches of a fixed number of entries,
-so memory stays bounded at any dimension; a million samples at n = 8
-take 0.5-3 s for monomials in columns 1 and 2.  Results are
-reproducible for a fixed (seed, samples, dimension, monomial).
+A monomial is averaged from only the columns it reads.  Gram-Schmidt on
+an n x c Gaussian block gives the first c columns of a Haar matrix
+(Stewart 1980), and each column after the first is projected twice, which
+keeps it orthogonal to rounding (Giraud et al. 2005).  By invariance under
+U -> UP (for the COE, S -> P^T S P) for a permutation P, the monomial's
+distinct column labels are first mapped to 1..c, so c is the number of
+distinct labels (for the COE, the distinct labels of rows and columns
+together, since S_ij = sum_k U_ki U_kj reads columns i and j of U).
+Sampling is vectorized over stacked blocks in batches of a fixed number
+of entries, so memory stays bounded at any dimension.  On two cores a
+million samples at n = 8 take 0.2-1.7 s for c = 1 or 2.  A large c costs
+more than LAPACK's QR would: 5 000 unitary samples at c = n = 64 take
+8.4 s, against 3.3 s by QR.  Results are reproducible for a fixed (seed,
+samples, dimension, monomial).
 """
 
 from __future__ import annotations
@@ -42,20 +47,34 @@ def _sample_batch(ensemble: Ensemble, rng: np.random.Generator, count: int, n: i
     """count draws at dimension n, cut to what indices <= c read.
 
     Orthogonal and unitary: the first c columns of Haar matrices, shape
-    (count, n, c), from the sign- (phase-) fixed QR of an n x c Gaussian
-    block.  COE: the leading c x c block of S = U^T U, which reads only
-    columns 1..c of U.
+    (count, n, c), from Gram-Schmidt on an n x c Gaussian block.  COE: the
+    leading c x c block of S = U^T U, which reads only columns 1..c of U.
     """
     shape = (count, n, c)
-    g = rng.standard_normal(shape)
     if ensemble.complex_entries:
-        g = (g + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.einsum("...ii->...i", r)
-    q *= (d / np.abs(d))[:, None, :]
-    if ensemble is Ensemble.COE:
-        return np.swapaxes(q, 1, 2) @ q
-    return q
+        # (re + 1j * im) / sqrt(2), filled in place rather than through three temporaries
+        q = np.empty(shape, dtype=complex)
+        q.real, q.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+        q /= math.sqrt(2.0)
+    else:
+        q = rng.standard_normal(shape)
+    # Gram-Schmidt in place, each column projected twice; dividing by the norm
+    # leaves the triangular factor a positive diagonal
+    for j in range(c):
+        v, done = q[:, :, j], q[:, :, :j]
+        for _ in range(2 if j else 0):
+            r = (v.conj()[:, None, :] @ done).conj()  # <q_i, v> for i < j, as a 1 x j row
+            v -= (r @ np.swapaxes(done, 1, 2))[:, 0]
+        v /= np.sqrt(np.einsum("bk,bk->b", v.conj(), v).real)[:, None]
+    if ensemble is not Ensemble.COE:
+        return q
+    # one dot per pair of columns: five times faster than stacked c x c products
+    # at c = 2, slower from about c = 8 on
+    s = np.empty((count, c, c), dtype=q.dtype)
+    for i in range(c):
+        for j in range(i, c):
+            s[:, i, j] = s[:, j, i] = np.einsum("bk,bk->b", q[:, :, i], q[:, :, j])
+    return s
 
 
 def sample_haar(ensemble: Ensemble, n: int, seed: int) -> np.ndarray:
@@ -97,10 +116,10 @@ def mc_integrate(
 ) -> McEstimate:
     """Unbiased Monte Carlo mean of a concrete-index monomial.
 
-    Each sample draws only columns 1..c, c the largest index the monomial
-    reads (see the module docstring).  For the complex ensembles the real
-    part is averaged (the checked exact values are real by invariance); the
-    mean imaginary part is kept as a sanity statistic.
+    Each sample draws only c columns, c the number of distinct labels the
+    monomial reads (see the module docstring).  For the complex ensembles
+    the real part is averaged (the checked exact values are real by
+    invariance); the mean imaginary part is kept as a sanity statistic.
     """
     monomial.validate(ensemble)
     if not monomial.is_concrete():
@@ -110,10 +129,16 @@ def mc_integrate(
     for s in monomial.slots:
         if not (1 <= s.row <= n and 1 <= s.col <= n):
             raise ValueError(f"index out of range for dimension {n}: {s}")
+    # 0-based (row, column, conj) after the relabeling by invariance
     if ensemble is Ensemble.COE:
-        c = max(max(s.row, s.col) for s in monomial.slots)
+        labels = sorted({i for s in monomial.slots for i in (s.row, s.col)})
+        index = {label: k for k, label in enumerate(labels)}
+        slots = [(index[s.row], index[s.col], s.conj) for s in monomial.slots]
     else:
-        c = max(s.col for s in monomial.slots)
+        labels = sorted({s.col for s in monomial.slots})
+        index = {label: k for k, label in enumerate(labels)}
+        slots = [(s.row - 1, index[s.col], s.conj) for s in monomial.slots]
+    c = len(labels)
     batch = max(1, _BATCH_ENTRIES // (n * c))
     rng = np.random.default_rng(seed)
     total = 0.0
@@ -124,9 +149,9 @@ def mc_integrate(
         count = min(batch, samples - done)
         mats = _sample_batch(ensemble, rng, count, n, c)
         vals = np.ones(count, dtype=complex if ensemble.complex_entries else float)
-        for s in monomial.slots:
-            entry = mats[:, s.row - 1, s.col - 1]
-            vals = vals * (np.conj(entry) if s.conj else entry)
+        for row, col, conj in slots:
+            entry = mats[:, row, col]
+            vals = vals * (np.conj(entry) if conj else entry)
         re = vals.real if ensemble.complex_entries else vals
         total += float(re.sum())
         total_sq += float((re * re).sum())

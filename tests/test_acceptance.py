@@ -5,8 +5,8 @@ pytest -s, and implicit in the test outcome).  Everything is computed in
 the run: the order-4 weight tables come from loop-equation trace
 moments and the Gram products, up to the degree-18 stretch case, by
 invariance, each in under a second.  The Monte Carlo check of criterion 7
-is the slowest test, at about 7 s: each of its 6 x 10^6 samples draws only
-the one or two columns of U its monomial reads.
+is the slowest test, at 3-4 s: each of its 6 x 10^6 samples draws
+only the one or two columns of U its monomial reads.
 
 Criterion list:
  1  exact reproduction of the published coefficient tables

@@ -265,6 +265,13 @@ def test_sample_too_few_samples(capsys):
     assert code == 2 and "10^4" in err
 
 
+def test_sample_negative_seed(capsys):
+    code, _, err = run(capsys, "sample", "--ensemble", "orthogonal",
+                       "--monomial", "M[1,1] M[1,1]", "--N", "8",
+                       "--samples", "20000", "--seed", "-1")
+    assert code == 2 and "--seed" in err and ">= 0" in err
+
+
 def test_sample_coe_offdiagonal(capsys):
     code, out, _ = run(capsys, "sample", "--ensemble", "coe",
                        "--monomial", "M[1,2] Mc[1,2]", "--N", "8",

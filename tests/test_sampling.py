@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wickweights import Ensemble, MonomialSpec
+from wickweights import Ensemble, MonomialSpec, sampling
 from wickweights.algebra import N, Poly, RatFunc
 from wickweights.integrate import integrate_monomial
 from wickweights.sampling import _sample_batch, cross_check, mc_integrate, sample_haar
@@ -53,8 +53,9 @@ def test_mc_reproducible():
 
 @pytest.mark.parametrize("ens", [Ensemble.ORTHOGONAL, Ensemble.UNITARY])
 def test_mc_first_moment_vanishes(ens):
-    # <M[1,1]> = 0 by invariance.  Without the QR sign (phase) fix the
-    # sampler reads about -0.29 (-0.20 unitary), 80+ standard errors away.
+    # <M[1,1]> = 0 by invariance.  A QR sampler that leaves the signs (phases)
+    # of R's diagonal free reads about -0.29 (-0.20 unitary), 80+ standard
+    # errors away.
     est = mc_integrate(ens, MonomialSpec.parse("M[1,1]"), 8, 20_000, seed=13)
     assert abs(est.mean) <= 5 * est.standard_error
 
@@ -84,7 +85,8 @@ def test_haar_invariance_smoke():
 
 
 def test_mc_far_column_orthogonal():
-    # the sampler draws columns 1..7 here, not just the first one or two
+    # column 7 is relabeled to column 1 by invariance under U -> UP; the
+    # estimate still reads 1/N
     est = mc_integrate(Ensemble.ORTHOGONAL, MonomialSpec.parse("M[2,7] M[2,7]"), 8, 100_000, seed=21)
     assert abs(est.mean - 0.125) <= 5 * est.standard_error
 
@@ -95,6 +97,25 @@ def test_mc_far_column_coe():
     report = cross_check(exact, Ensemble.COE, monomial, 8, 100_000, seed=22)
     assert report.exact == Fraction(1, 9)  # <|S_ij|^2> = 1/(N+1) off the diagonal
     assert report.passed, report.to_json()
+
+
+@pytest.mark.parametrize("ens, text, c, exact", [
+    (Ensemble.ORTHOGONAL, "M[2,7] M[2,7]", 1, Fraction(1, 8)),
+    (Ensemble.UNITARY, "M[3,8] Mc[3,8] M[5,2] Mc[5,2]", 2, Fraction(1, 63)),  # 1/(N^2-1)
+    (Ensemble.COE, "M[7,7] Mc[7,7]", 1, Fraction(2, 9)),  # 2/(N+1)
+    (Ensemble.COE, "M[3,6] Mc[3,6]", 2, Fraction(1, 9)),  # rows and columns share the labels
+])
+def test_mc_draws_one_column_per_distinct_label(monkeypatch, ens, text, c, exact):
+    drawn = []
+
+    def spy(ensemble, rng, count, n, cols):
+        drawn.append(cols)
+        return _sample_batch(ensemble, rng, count, n, cols)
+
+    monkeypatch.setattr(sampling, "_sample_batch", spy)
+    est = mc_integrate(ens, MonomialSpec.parse(text), 8, 20_000, seed=24)
+    assert set(drawn) == {c}
+    assert abs(est.mean - float(exact)) <= 5 * est.standard_error
 
 
 def test_mc_memory_bounded_at_large_dimension():
@@ -147,6 +168,29 @@ def test_column_sampler_matches_full_qr(ens, c):
         want = (u.T @ u)[:c, :c] if ens is Ensemble.COE else u[:, :c]
         assert got[i].shape == want.shape
         assert np.max(np.abs(got[i] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("ens", list(Ensemble))
+def test_column_sampler_reorthogonalizes(ens):
+    # column 2 is column 1 plus 1e-9 noise, a condition number near 1e9: one
+    # projection pass leaves columns 1 and 2 about 1e-7 from orthogonal
+    n = c = 4
+    count = 4
+    rng = np.random.default_rng(32)
+    blocks = []
+    for _ in range(2 if ens.complex_entries else 1):
+        g = rng.standard_normal((count, n, c))
+        g[:, :, 1] = g[:, :, 0] + 1e-9 * rng.standard_normal((count, n))
+        blocks.append(g)
+    full = blocks[0] if len(blocks) == 1 else (blocks[0] + 1j * blocks[1]) / math.sqrt(2.0)
+    got = _sample_batch(ens, _FixedNormals(*blocks), count, n, c)
+    for i in range(count):
+        # c = n, so the COE block is the whole of S = U^T U, itself unitary
+        assert np.max(np.abs(got[i].conj().T @ got[i] - np.eye(c))) < 1e-12
+        u = _fixed_full_qr(full[i])
+        want = u.T @ u if ens is Ensemble.COE else u
+        # both are exact up to the block's condition number times rounding
+        assert np.max(np.abs(got[i] - want)) < 1e-5
 
 
 def test_cross_check_passes():
