@@ -63,12 +63,18 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
     """'2,1|1' -> [(2,1), (1)]: comma-separated parts, | between factors."""
     factors = []
     for chunk in text.split("|"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError("empty invariant factor")
-        parts = tuple(sorted((int(x) for x in chunk.split(",")), reverse=True))
-        factors.append(check_partition(parts))
+        try:
+            factors.append(check_partition(sorted((int(x) for x in chunk.split(",")), reverse=True)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad factor {chunk.strip()!r}; expected positive parts like '2,1'")
     return factors
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _warn_cost(command: str, kappa: int, factors: int = 0) -> None:
@@ -96,7 +102,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    print(gaussian_trace_moment(args.ensemble, _parse_invariants(args.invariants)))
+    print(gaussian_trace_moment(args.ensemble, args.invariants))
     return 0
 
 
@@ -121,7 +127,7 @@ def _cmd_integrate(args) -> int:
                 lines.append(f"= {exact} = {float(exact):.12g} at N = {args.at}")
         else:
             lines = [f"  {structure_label(s):30s} {c}" for s, c in expansion.items()] or ["0"]
-            if args.at is not None:
+            if args.at is not None and expansion:
                 lines.append(f"-- coefficients at N = {args.at}:")
                 lines += [f"  {c.eval(args.at)}" for _, c in expansion.items()]
         print("\n".join(lines))
@@ -154,7 +160,7 @@ def _cmd_sample(args) -> int:
     if args.samples < 10_000:
         raise ValueError("need at least 10^4 samples for a usable error estimate")
     if args.expect is not None:
-        expected = RatFunc(*Fraction(args.expect).as_integer_ratio())
+        expected = RatFunc(*args.expect.as_integer_ratio())
         report = cross_check(expected, args.ensemble, monomial, args.N, args.samples, args.seed)
         json.dump(report.to_json(), sys.stdout)
         print()
@@ -180,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moment", help="Gaussian average of trace invariants")
     p.add_argument("--ensemble", type=_ensemble, required=True)
-    p.add_argument("--invariants", required=True,
+    p.add_argument("--invariants", type=_parse_invariants, required=True,
                    help="partitions like '2' or '2,1|1' (| separates factors)")
     p.set_defaults(func=_cmd_moment)
 
@@ -204,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_positive_int, required=True, help="matrix dimension")
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--expect", default=None,
+    p.add_argument("--expect", type=_fraction, default=None,
                    help="exact rational to cross-check against, e.g. 1/8")
     p.set_defaults(func=_cmd_sample)
     return parser

@@ -558,69 +558,56 @@ def gram_class_expansion(ensemble: Ensemble, k: int, class_coefficients: Sequenc
     with c in partitions_of(k) order (see gram_class_coefficients)."""
     _, pairings = _structures(ensemble is Ensemble.ORTHOGONAL, k)
     names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
-    return DeltaExpansion({contract_deltas([(names[a], names[b]) for a, b in pairs], ())[0]: class_coefficients[c]
-                           for pairs, c in pairings})
+    return _expansion({(c, pairs): 1 for pairs, c in pairings}, names, class_coefficients)
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-def _paired_structures(placed: Sequence[Slot], ids: dict, pairings: list, coeffs: list[RatFunc]) -> dict:
-    """(class, edges) -> number of pairs of a row pairing and a column pairing.
-
-    Row pairings are taken once per orbit under the permutations of
-    identical slots, weighted by the orbit size.  With g the map of the base
-    pairs onto a row pairing, the column pairing runs over g(tau) for every
-    tau of a class with a nonzero coefficient; the pair then has the class
-    of tau.
-    """
+def _attachments(ensemble: Ensemble, placed: list[Slot], ids: dict, pairings: list) -> list[tuple[tuple, list, int]]:
+    """Each way (edges, ends, n) to attach a pairing tau of _structures (see entry_moment): n
+    structures pi, each edges plus (ends[x], ends[y]) for the pairs (x, y) of tau."""
+    if ensemble is Ensemble.COE:
+        plain_ends = [ids[lab] for s in placed[0::2] for lab in (s.row, s.col)]
+        conj_ends = [(ids[s.row], ids[s.col]) for s in placed[1::2]]
+        completions = Counter(sum(oriented, ()) for order in itertools.permutations(conj_ends)
+                              for oriented in itertools.product(*(((r, c), (c, r)) for r, c in order)))
+        return [((), plain_ends + list(right), n) for right, n in completions.items()]
     rows = [ids[s.row] for s in placed]
     cols = [ids[s.col] for s in placed]
     concrete = {i for lab, i in ids.items() if isinstance(lab, int)}
-    kinds: dict[Slot, int] = {}
-    kind = [kinds.setdefault(s, len(kinds)) for s in placed]
+    kind = [placed.index(s) for s in placed]  # identical slots share a kind
     orbits: dict[tuple, list] = {}
     for pairs, _ in pairings:
         orbit = orbits.setdefault(tuple(sorted(_edge(kind[a], kind[b]) for a, b in pairs)), [pairs, 0])
         orbit[1] += 1
-    live = [(tau, c) for tau, c in pairings if coeffs[c]]
-    counts: dict[tuple, int] = {}
+    out = []
     for pairs, size in orbits.values():
         row = tuple(sorted(_edge(rows[a], rows[b]) for a, b in pairs))
-        if any(u != v and u in concrete and v in concrete for u, v in row):
+        if not any(u != v and u in concrete and v in concrete for u, v in row):
+            out.append((row, [cols[x] for ab in pairs for x in ab], size))
+    return out
+
+
+def _expansion(counts: dict[tuple, int], labels: Sequence, coeffs: Sequence[RatFunc]) -> DeltaExpansion:
+    """sum of n coeffs[c] d_edges over the (c, edges) -> n of counts, the edges indexing labels.
+    Each distinct edge set is contracted once and each distinct coefficient reduced once."""
+    summed = {lab for lab in labels if isinstance(lab, tuple)}
+    contracted: dict[tuple, tuple | None] = {}
+    powers: dict[DeltaStructure, Counter] = {}  # structure -> (class, power of N) -> count
+    for (c, edges), n in counts.items():
+        if edges not in contracted:
+            contracted[edges] = contract_deltas([(labels[a], labels[b]) for a, b in edges], summed)
+        res = contracted[edges]
+        if res is None:
             continue
-        col_at = [cols[x] for ab in pairs for x in ab]
-        for tau, c in live:
-            key = (c, row + tuple(sorted(_edge(col_at[x], col_at[y]) for x, y in tau)))
-            counts[key] = counts.get(key, 0) + size
-    return counts
-
-
-def _coe_structures(placed: Sequence[Slot], ids: dict, pairings: list, coeffs: list[RatFunc]) -> dict:
-    """(class, edges) -> number of bijections pi from plain to conjugated index ends.
-
-    pi is written as tau, the pairing of the plain ends that pi sends to
-    one conjugated slot (pi has the class of tau), completed by a conjugated
-    slot and an orientation for each pair of tau.  Completions are counted
-    by the labels they join, so identical slots merge.
-    """
-    plain_ends = [ids[lab] for s in placed[0::2] for lab in (s.row, s.col)]
-    conj_ends = [(ids[s.row], ids[s.col]) for s in placed[1::2]]
-    completions: dict[tuple, int] = {}
-    for order in itertools.permutations(conj_ends):
-        for oriented in itertools.product(*(((r, c), (c, r)) for r, c in order)):
-            right = sum(oriented, ())
-            completions[right] = completions.get(right, 0) + 1
-    counts: dict[tuple, int] = {}
-    for tau, c in pairings:
-        if not coeffs[c]:
-            continue
-        left = [plain_ends[x] for ab in tau for x in ab]
-        for right, n in completions.items():
-            key = (c, tuple(sorted(zip(left, right))))
-            counts[key] = counts.get(key, 0) + n
-    return counts
+        structure, power = res
+        powers.setdefault(structure, Counter())[c, power] += n
+    # most structures share their counts
+    value = functools.cache(lambda terms: linear_combination((n, coeffs[c] * RatFunc.n_power(power))
+                                                             for (c, power), n in terms))
+    return DeltaExpansion({structure: value(tuple(sorted(terms.items()))) for structure, terms in powers.items()})
 
 
 def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slots: Sequence[Slot]) -> DeltaExpansion:
@@ -639,21 +626,25 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
     For the COE s = 1: in the zonal basis of (S_2m, B_m) the COE matrix has
     eigenvalues Z(N) Z(N+1) where A has Z(N) (Matsumoto, 2011).  Without
     invariants in the weight this gives a_0 / d^m on the Wick pairings, the
-    class 1^m, and 0 elsewhere.  Summed (tuple) labels are contracted, each
-    closed loop of them a factor N.
+    class 1^m, and 0 elsewhere.  Each pi is a pairing tau of _structures
+    attached to the slots, with the class of tau (_attachments).  Orthogonal,
+    unitary: a row pairing, one per orbit under the permutations of identical
+    slots and weighted by its size, skipped if it joins two distinct concrete
+    labels; with g the map of the base pairs onto it, the column pairing is
+    g(tau).  COE: tau pairs the plain ends that pi sends to one conjugated
+    slot, and a completion, counted by the labels it joins, picks that slot
+    and an orientation for each pair; tau's i-th end meets the completion's
+    i-th end, at 2m + i.  One loop counts the tau of live classes on every
+    attachment, and _expansion writes the counts out.  Summed (tuple) labels
+    are contracted, each closed loop of them a factor N.
     """
     if not ensemble.complex_entries and any(s.conj for s in slots):
         raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
-    if ensemble.complex_entries:
-        plain = [s for s in slots if not s.conj]
-        conj = [s for s in slots if s.conj]
-        if len(plain) != len(conj):
-            return DeltaExpansion()
-        placed = [s for pair in zip(plain, conj) for s in pair]
-    elif len(slots) % 2:
+    plain = [s for s in slots if not s.conj]
+    conj = [s for s in slots if s.conj]
+    placed = [s for pair in zip(plain, conj) for s in pair] if ensemble.complex_entries else list(slots)
+    if len(placed) != len(slots) or len(placed) % 2:  # unequal plain and conjugated slots, or odd degree
         return DeltaExpansion()
-    else:
-        placed = list(slots)
     m = len(placed) // 2
     # the COE's tau pairs plain index ends freely, like orthogonal row ends
     orthogonal = ensemble is not Ensemble.UNITARY
@@ -662,29 +653,15 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
     coeffs = _class_solve(m, 2 if orthogonal else 1, _class_targets(ensemble, coefficients, classes), shifts)
     labels = list(dict.fromkeys(lab for s in placed for lab in (s.row, s.col)))
     ids = {lab: i for i, lab in enumerate(labels)}
-    structures = _coe_structures if ensemble is Ensemble.COE else _paired_structures
-    counts = structures(placed, ids, pairings, coeffs)
-    summed = {lab for lab in labels if isinstance(lab, tuple)}
-    contracted: dict[tuple, tuple | None] = {}
-    powers: dict[DeltaStructure, dict[int, dict[int, int]]] = {}
-    for (c, edges), n in counts.items():
-        if edges not in contracted:
-            contracted[edges] = contract_deltas([(labels[a], labels[b]) for a, b in edges], summed)
-        res = contracted[edges]
-        if res is None:
-            continue
-        structure, power = res
-        by_power = powers.setdefault(structure, {}).setdefault(c, {})
-        by_power[power] = by_power.get(power, 0) + n
-    out: dict[DeltaStructure, RatFunc] = {}
-    values: dict[tuple, RatFunc] = {}  # most structures share their counts
-    for structure, by_class in powers.items():
-        key = tuple(sorted((c, tuple(sorted(by_power.items()))) for c, by_power in by_class.items()))
-        if key not in values:
-            values[key] = linear_combination((n, coeffs[c] * RatFunc.n_power(power))
-                                             for c, by_power in by_class.items() for power, n in by_power.items())
-        out[structure] = values[key]
-    return DeltaExpansion(out)
+    live = [(tau, c) for tau, c in pairings if coeffs[c]]
+    if ensemble is Ensemble.COE:
+        live = [(tuple(zip(sum(tau, ()), range(2 * m, 4 * m))), c) for tau, c in live]
+    counts: dict[tuple, int] = {}
+    for edges, ends, n in _attachments(ensemble, placed, ids, pairings):
+        for tau, c in live:
+            key = (c, edges + tuple(sorted(_edge(ends[x], ends[y]) for x, y in tau)))
+            counts[key] = counts.get(key, 0) + n
+    return _expansion(counts, labels, coeffs)
 
 
 # -- connected (completely correlated) parts ----------------------------------------------

@@ -127,8 +127,10 @@ def test_moment_command(capsys):
 
 
 def test_moment_parse_error(capsys):
-    code, _, err = run(capsys, "moment", "--ensemble", "orthogonal", "--invariants", "2,x")
-    assert code == 2 and "error" in err
+    # the parser names the flag and says what is wrong
+    for text in ("2,x", "a", "0", "2,1|"):
+        code, _, err = run(capsys, "moment", "--ensemble", "orthogonal", "--invariants", text)
+        assert code == 2 and "error" in err and "--invariants" in err and "positive parts" in err, text
 
 
 def test_moment_too_deep_is_usage_error(capsys):
@@ -175,10 +177,13 @@ def test_integrate_at_dimension(capsys):
 
 
 def test_integrate_odd_is_zero(capsys):
-    for monomial, fmt, want in (("M[1,1]", "text", "0"), ("M[i,j]", "text", "0"), ("M[i,j]", "json", "[]")):
-        code, out, _ = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
-                           "--monomial", monomial, "--format", fmt)
-        assert code == 0 and out.strip() == want, (monomial, fmt)
+    # a zero expansion prints no --at header
+    for ens, monomial, extra, want in (("orthogonal", "M[1,1]", ("--format", "text"), "0"),
+                                       ("orthogonal", "M[i,j]", ("--format", "text"), "0"),
+                                       ("orthogonal", "M[i,j]", ("--format", "json"), "[]"),
+                                       ("unitary", "M[i,j]", ("--at", "3"), "0")):
+        code, out, _ = run(capsys, "integrate", "--ensemble", ens, "--kappa", "2", "--monomial", monomial, *extra)
+        assert code == 0 and out.strip() == want, (ens, monomial, extra)
 
 
 def test_integrate_symbolic_text_and_json(capsys):
@@ -270,6 +275,14 @@ def test_sample_negative_seed(capsys):
                        "--monomial", "M[1,1] M[1,1]", "--N", "8",
                        "--samples", "20000", "--seed", "-1")
     assert code == 2 and "--seed" in err and ">= 0" in err
+
+
+def test_sample_bad_expect(capsys):
+    # refused by the parser, before any sampling
+    for text in ("1/0", "abc"):
+        code, out, err = run(capsys, "sample", "--ensemble", "orthogonal",
+                             "--monomial", "M[1,1] M[1,1]", "--N", "8", "--expect", text)
+        assert code == 2 and out == "" and "--expect" in err and "not a rational number" in err, text
 
 
 def test_sample_coe_offdiagonal(capsys):
