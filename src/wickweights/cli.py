@@ -43,14 +43,14 @@ def _ensemble(text: str) -> Ensemble:
         raise argparse.ArgumentTypeError(f"unknown ensemble {text!r}; choose orthogonal, unitary or coe")
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, why: str = ""):
     def parse(text: str) -> int:
         try:
             v = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if v < low:
-            raise argparse.ArgumentTypeError(f"value must be >= {low}")
+            raise argparse.ArgumentTypeError(f"value must be >= {low}{why}")
         return v
 
     return parse
@@ -157,8 +157,6 @@ def _cmd_sample(args) -> int:
     from .sampling import cross_check, mc_integrate  # numpy loads only for sampling
 
     monomial = MonomialSpec.parse(args.monomial)
-    if args.samples < 10_000:
-        raise ValueError("need at least 10^4 samples for a usable error estimate")
     if args.expect is not None:
         expected = RatFunc(*args.expect.as_integer_ratio())
         report = cross_check(expected, args.ensemble, monomial, args.N, args.samples, args.seed)
@@ -208,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", type=_ensemble, required=True)
     p.add_argument("--monomial", required=True)
     p.add_argument("--N", type=_positive_int, required=True, help="matrix dimension")
-    p.add_argument("--samples", type=_positive_int, default=1_000_000)
+    p.add_argument("--samples", type=_int_at_least(10_000, " (10^4) for a usable error estimate"),
+                   default=1_000_000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--expect", type=_fraction, default=None,
                    help="exact rational to cross-check against, e.g. 1/8")

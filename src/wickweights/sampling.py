@@ -11,20 +11,31 @@ cross-check the symbolic results at concrete dimensions:
 * coe: S = U^T U with U Haar unitary, the standard construction of
   symmetric unitary matrices with the invariant measure.
 
-A monomial is averaged from only the columns it reads.  Gram-Schmidt on
-an n x c Gaussian block gives the first c columns of a Haar matrix
-(Stewart 1980), and each column after the first is projected twice, which
-keeps it orthogonal to rounding (Giraud et al. 2005).  By invariance under
-U -> UP (for the COE, S -> P^T S P) for a permutation P, the monomial's
-distinct column labels are first mapped to 1..c, so c is the number of
-distinct labels (for the COE, the distinct labels of rows and columns
-together, since S_ij = sum_k U_ki U_kj reads columns i and j of U).
-Sampling is vectorized over stacked blocks in batches of a fixed number
-of entries, so memory stays bounded at any dimension.  On two cores a
-million samples at n = 8 take 0.2-1.7 s for c = 1 or 2.  A large c costs
-more than LAPACK's QR would: 5 000 unitary samples at c = n = 64 take
-8.4 s, against 3.3 s by QR.  Results are reproducible for a fixed (seed,
-samples, dimension, monomial).
+A monomial is averaged from only the entries it reads.  Gram-Schmidt on
+an n x c Gaussian block Z gives the first c columns of a Haar matrix
+(Stewart 1980), Q = Z R^-1 with R the Cholesky factor of Z^H Z, and each
+column after the first is projected twice, which keeps it orthogonal to
+rounding (Giraud et al. 2005).  By invariance under U -> P U P' for
+permutations P and P' (for the COE, S -> P^T S P), the monomial's
+distinct row labels are first mapped to 1..r and its distinct column
+labels to 1..c.  The r read rows G of Z meet the n - r unread rows H
+only in Z^H Z = G^H G + H^H H, and H^H H has the law of T^T T, T the R
+factor of an (n - r) x k standard Gaussian block: upper trapezoidal,
+min(n - r, k) x k, with chi_{n-r-i} on its diagonal (0-based row i) and
+N(0, 1) above it (Bartlett's decomposition; Edelman and Rao 2005).  So
+Gram-Schmidt on the short block [G; T] gives the read rows with exactly
+the Haar law.  A complex H is realified into [Re H, Im H], k = 2c, whose
+real Gram matrix gives both H^H H and H^T H; T's two halves are the real
+and imaginary parts of the rows that stand in for H.  The COE reads
+S_ij = sum_k U_ki U_kj, a function of Z^H Z and Z^T Z alone, so it takes
+r = 0 and c the distinct labels of rows and columns together.  A sample
+thus draws (r + min(n - r, k)) c entries, O(c (r + c)) whatever n, and
+Gram-Schmidt on them costs c times that.  Sampling is vectorized over
+stacked blocks in batches of a fixed number of entries, so memory stays
+bounded.  On two cores a million samples at n = 8 take 0.06-0.7 s for
+c = 1 or 2.  A large c costs more than LAPACK's QR would: 5 000 unitary
+samples at c = n = 64 take 5.2-5.6 s, against 3.3 s by QR.  Results are
+reproducible for a fixed (seed, samples, dimension, monomial).
 """
 
 from __future__ import annotations
@@ -38,26 +49,52 @@ import numpy as np
 from .algebra import RatFunc
 from .wick import Ensemble, MonomialSpec
 
-# Gaussian entries drawn per batch, 20 000 full samples at n = 8; sizing by
-# entries keeps memory flat in n
+# Entries of the stacked blocks per batch, 20 000 full 8 x 8 blocks.  A sample's
+# block is (rows + min(n - rows, k)) x c, k = c real or 2c complex, so a batch
+# is sized by what the monomial reads and holds at most (rows + 2c) c entries a
+# sample, whatever n
 _BATCH_ENTRIES = 20_000 * 64
 
 
-def _sample_batch(ensemble: Ensemble, rng: np.random.Generator, count: int, n: int, c: int) -> np.ndarray:
-    """count draws at dimension n, cut to what indices <= c read.
+def _r_factor(rng: np.random.Generator, count: int, m: int, k: int) -> np.ndarray:
+    """R factors of count m x k standard Gaussian blocks, shape (count, min(m, k), k).
 
-    Orthogonal and unitary: the first c columns of Haar matrices, shape
-    (count, n, c), from Gram-Schmidt on an n x c Gaussian block.  COE: the
-    leading c x c block of S = U^T U, which reads only columns 1..c of U.
+    Bartlett's decomposition: row i (0-based) has chi_{m-i} on the diagonal,
+    N(0, 1) to its right and zeros to its left.  m = 0 gives an empty block
+    and draws nothing.
     """
-    shape = (count, n, c)
+    t = np.zeros((count, min(m, k), k))
+    for i in range(t.shape[1]):
+        t[:, i, i] = np.sqrt(rng.chisquare(m - i, count))
+        t[:, i, i + 1:] = rng.standard_normal((count, k - i - 1))
+    return t
+
+
+def _sample_batch(ensemble: Ensemble, rng: np.random.Generator, count: int, n: int, c: int,
+                  rows: int) -> np.ndarray:
+    """count draws at dimension n, cut to the first rows rows and c columns a monomial reads.
+
+    Orthogonal and unitary: rows 1..rows of the first c columns of Haar
+    matrices, shape (count, rows, c).  COE: the leading c x c block of
+    S = U^T U, which reads all of columns 1..c of U (mc_integrate passes
+    rows = 0).  The read rows are drawn as Gaussian rows, real parts then
+    imaginary parts; the R factor of the other n - rows rows is stacked
+    under them, and Gram-Schmidt runs on that short block (see the module
+    docstring).  At rows = n the R factor is empty and this is Gram-Schmidt
+    on a full n x c Gaussian block.
+    """
+    shape = (count, rows, c)
     if ensemble.complex_entries:
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        # [Re H, Im H] realified, so its R factor has 2c columns: real parts, then imaginary
+        t = _r_factor(rng, count, n - rows, 2 * c)
         # (re + 1j * im) / sqrt(2), filled in place rather than through three temporaries
-        q = np.empty(shape, dtype=complex)
-        q.real, q.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+        q = np.empty((count, rows + t.shape[1], c), dtype=complex)
+        q.real[:, :rows], q.imag[:, :rows] = re, im
+        q.real[:, rows:], q.imag[:, rows:] = t[:, :, :c], t[:, :, c:]
         q /= math.sqrt(2.0)
     else:
-        q = rng.standard_normal(shape)
+        q = np.concatenate((rng.standard_normal(shape), _r_factor(rng, count, n - rows, c)), axis=1)
     # Gram-Schmidt in place, each column projected twice; dividing by the norm
     # leaves the triangular factor a positive diagonal
     for j in range(c):
@@ -67,7 +104,7 @@ def _sample_batch(ensemble: Ensemble, rng: np.random.Generator, count: int, n: i
             v -= (r @ np.swapaxes(done, 1, 2))[:, 0]
         v /= np.sqrt(np.einsum("bk,bk->b", v.conj(), v).real)[:, None]
     if ensemble is not Ensemble.COE:
-        return q
+        return q[:, :rows]
     # one dot per pair of columns: five times faster than stacked c x c products
     # at c = 2, slower from about c = 8 on
     s = np.empty((count, c, c), dtype=q.dtype)
@@ -82,7 +119,7 @@ def sample_haar(ensemble: Ensemble, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    return _sample_batch(ensemble, rng, 1, n, n)[0]
+    return _sample_batch(ensemble, rng, 1, n, n, n)[0]
 
 
 @dataclass(frozen=True)
@@ -116,10 +153,12 @@ def mc_integrate(
 ) -> McEstimate:
     """Unbiased Monte Carlo mean of a concrete-index monomial.
 
-    Each sample draws only c columns, c the number of distinct labels the
-    monomial reads (see the module docstring).  For the complex ensembles
-    the real part is averaged (the checked exact values are real by
-    invariance); the mean imaginary part is kept as a sanity statistic.
+    Each sample draws the r distinct rows of the c distinct columns the
+    monomial reads and an R factor of at most 2c rows for the rest, O(c (r +
+    c)) entries whatever n (see the module docstring; the COE has r = 0).
+    For the complex ensembles the real part is averaged (the checked exact
+    values are real by invariance); the mean imaginary part is kept as a
+    sanity statistic.
     """
     monomial.validate(ensemble)
     if not monomial.is_concrete():
@@ -129,17 +168,21 @@ def mc_integrate(
     for s in monomial.slots:
         if not (1 <= s.row <= n and 1 <= s.col <= n):
             raise ValueError(f"index out of range for dimension {n}: {s}")
+
+    def relabel(labels) -> dict[int, int]:
+        return {label: i for i, label in enumerate(sorted(set(labels)))}
+
     # 0-based (row, column, conj) after the relabeling by invariance
     if ensemble is Ensemble.COE:
-        labels = sorted({i for s in monomial.slots for i in (s.row, s.col)})
-        index = {label: k for k, label in enumerate(labels)}
-        slots = [(index[s.row], index[s.col], s.conj) for s in monomial.slots]
+        row_index = col_index = relabel(i for s in monomial.slots for i in (s.row, s.col))
+        rows = 0
     else:
-        labels = sorted({s.col for s in monomial.slots})
-        index = {label: k for k, label in enumerate(labels)}
-        slots = [(s.row - 1, index[s.col], s.conj) for s in monomial.slots]
-    c = len(labels)
-    batch = max(1, _BATCH_ENTRIES // (n * c))
+        row_index, col_index = relabel(s.row for s in monomial.slots), relabel(s.col for s in monomial.slots)
+        rows = len(row_index)
+    slots = [(row_index[s.row], col_index[s.col], s.conj) for s in monomial.slots]
+    c = len(col_index)
+    k = 2 * c if ensemble.complex_entries else c
+    batch = max(1, _BATCH_ENTRIES // ((rows + min(n - rows, k)) * c))
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
@@ -147,7 +190,7 @@ def mc_integrate(
     done = 0
     while done < samples:
         count = min(batch, samples - done)
-        mats = _sample_batch(ensemble, rng, count, n, c)
+        mats = _sample_batch(ensemble, rng, count, n, c, rows)
         vals = np.ones(count, dtype=complex if ensemble.complex_entries else float)
         for row, col, conj in slots:
             entry = mats[:, row, col]

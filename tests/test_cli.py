@@ -267,7 +267,7 @@ def test_sample_too_few_samples(capsys):
     code, _, err = run(capsys, "sample", "--ensemble", "orthogonal",
                        "--monomial", "M[1,1] M[1,1]", "--N", "8",
                        "--samples", "100", "--seed", "7")
-    assert code == 2 and "10^4" in err
+    assert code == 2 and "10^4" in err and "--samples" in err
 
 
 def test_sample_negative_seed(capsys):

@@ -8,7 +8,7 @@ import pytest
 from wickweights import Ensemble, MonomialSpec, sampling
 from wickweights.algebra import N, Poly, RatFunc
 from wickweights.integrate import integrate_monomial
-from wickweights.sampling import _sample_batch, cross_check, mc_integrate, sample_haar
+from wickweights.sampling import _r_factor, _sample_batch, cross_check, mc_integrate, sample_haar
 from wickweights.weights import solve_weight
 
 INV_N = RatFunc(1, N)
@@ -99,35 +99,47 @@ def test_mc_far_column_coe():
     assert report.passed, report.to_json()
 
 
-@pytest.mark.parametrize("ens, text, c, exact", [
-    (Ensemble.ORTHOGONAL, "M[2,7] M[2,7]", 1, Fraction(1, 8)),
-    (Ensemble.UNITARY, "M[3,8] Mc[3,8] M[5,2] Mc[5,2]", 2, Fraction(1, 63)),  # 1/(N^2-1)
-    (Ensemble.COE, "M[7,7] Mc[7,7]", 1, Fraction(2, 9)),  # 2/(N+1)
-    (Ensemble.COE, "M[3,6] Mc[3,6]", 2, Fraction(1, 9)),  # rows and columns share the labels
-])
-def test_mc_draws_one_column_per_distinct_label(monkeypatch, ens, text, c, exact):
+@pytest.mark.parametrize("ens, text, r, c, exact", [
+    (Ensemble.ORTHOGONAL, "M[2,7] M[2,7]", 1, 1, Fraction(1, 8)),
+    (Ensemble.UNITARY, "M[3,8] Mc[3,8] M[5,2] Mc[5,2]", 2, 2, Fraction(1, 63)),  # 1/(N^2-1)
+    (Ensemble.COE, "M[7,7] Mc[7,7]", 0, 1, Fraction(2, 9)),  # 2/(N+1)
+    (Ensemble.COE, "M[3,6] Mc[3,6]", 0, 2, Fraction(1, 9)),  # rows and columns share the labels
+], ids=["orthogonal-M[2,7] M[2,7]-1-exact0", "unitary-M[3,8] Mc[3,8] M[5,2] Mc[5,2]-2-exact1",
+        "coe-M[7,7] Mc[7,7]-1-exact2", "coe-M[3,6] Mc[3,6]-2-exact3"])
+def test_mc_draws_one_column_per_distinct_label(monkeypatch, ens, text, r, c, exact):
     drawn = []
 
-    def spy(ensemble, rng, count, n, cols):
-        drawn.append(cols)
-        return _sample_batch(ensemble, rng, count, n, cols)
+    def spy(ensemble, rng, count, n, cols, rows):
+        drawn.append((rows, cols))
+        return _sample_batch(ensemble, rng, count, n, cols, rows)
 
     monkeypatch.setattr(sampling, "_sample_batch", spy)
     est = mc_integrate(ens, MonomialSpec.parse(text), 8, 20_000, seed=24)
-    assert set(drawn) == {c}
+    assert set(drawn) == {(r, c)}
     assert abs(est.mean - float(exact)) <= 5 * est.standard_error
 
 
-def test_mc_memory_bounded_at_large_dimension():
-    # batches are sized by entries, so N = 2000 holds 1.3e6 Gaussian
-    # entries at a time, not 20 000 * N * N
+def _mc_second_moment_traced(n: int):
     tracemalloc.start()
     try:
-        est = mc_integrate(Ensemble.ORTHOGONAL, MonomialSpec.parse("M[1,1] M[1,1]"), 2000, 10_000, seed=23)
-        peak = tracemalloc.get_traced_memory()[1]
+        est = mc_integrate(Ensemble.ORTHOGONAL, MonomialSpec.parse("M[1,1] M[1,1]"), n, 10_000, seed=23)
+        return est, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_mc_memory_bounded_at_large_dimension():
+    # M[1,1] reads one entry: a sample draws it and a 1 x 1 R factor for the
+    # other N - 1 rows of its column, so a batch holds 2 entries a sample at any N
+    est, peak = _mc_second_moment_traced(2000)
     assert abs(est.mean - 1 / 2000) <= 5 * est.standard_error
+    assert peak < 100e6
+
+
+def test_mc_cost_flat_in_dimension():
+    # a full column at N = 10^6 would be 10^10 normals for these 10^4 samples
+    est, peak = _mc_second_moment_traced(10**6)
+    assert abs(est.mean - 1e-6) <= 5 * est.standard_error
     assert peak < 100e6
 
 
@@ -162,7 +174,7 @@ def test_column_sampler_matches_full_qr(ens, c):
     if ens.complex_entries:
         blocks.append(full_im[:, :, :c])
         full = (full_re + 1j * full_im) / math.sqrt(2.0)
-    got = _sample_batch(ens, _FixedNormals(*blocks), count, n, c)
+    got = _sample_batch(ens, _FixedNormals(*blocks), count, n, c, n)
     for i in range(count):
         u = _fixed_full_qr(full[i])
         want = (u.T @ u)[:c, :c] if ens is Ensemble.COE else u[:, :c]
@@ -183,7 +195,7 @@ def test_column_sampler_reorthogonalizes(ens):
         g[:, :, 1] = g[:, :, 0] + 1e-9 * rng.standard_normal((count, n))
         blocks.append(g)
     full = blocks[0] if len(blocks) == 1 else (blocks[0] + 1j * blocks[1]) / math.sqrt(2.0)
-    got = _sample_batch(ens, _FixedNormals(*blocks), count, n, c)
+    got = _sample_batch(ens, _FixedNormals(*blocks), count, n, c, n)
     for i in range(count):
         # c = n, so the COE block is the whole of S = U^T U, itself unitary
         assert np.max(np.abs(got[i].conj().T @ got[i] - np.eye(c))) < 1e-12
@@ -191,6 +203,27 @@ def test_column_sampler_reorthogonalizes(ens):
         want = u.T @ u if ens is Ensemble.COE else u
         # both are exact up to the block's condition number times rounding
         assert np.max(np.abs(got[i] - want)) < 1e-5
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("ens, text, exact", [
+    (Ensemble.ORTHOGONAL, "M[1,1] M[2,2] M[1,2] M[2,1]", lambda n: Fraction(-1, n * (n - 1) * (n + 2))),
+    (Ensemble.UNITARY, "M[1,1] M[2,2] Mc[1,2] Mc[2,1]", lambda n: Fraction(-1, n * (n * n - 1))),
+    (Ensemble.UNITARY, "M[1,1] Mc[1,1] M[2,2] Mc[2,2]", lambda n: Fraction(1, n * n - 1)),
+], ids=["orthogonal-U11U22U12U21", "unitary-U11U22U12cU21c", "unitary-U11U11cU22U22c"])
+def test_mc_two_rows_through_r_factor(ens, text, exact, n):
+    # two rows are drawn and n - 2 stood in for by an R factor: at n = 3 a
+    # 1 x k trapezoid, at n = 8 a full k x k triangle
+    est = mc_integrate(ens, MonomialSpec.parse(text), n, 200_000, seed=40 + n)
+    assert abs(est.mean - float(exact(n))) <= 5 * est.standard_error, (est.mean, exact(n))
+
+
+@pytest.mark.parametrize("m, k", [(0, 4), (1, 4), (3, 4), (4, 4), (9, 2)])
+def test_r_factor_is_upper_trapezoidal(m, k):
+    t = _r_factor(np.random.default_rng(33), 50, m, k)
+    assert t.shape == (50, min(m, k), k)
+    assert np.all(np.tril(t, -1) == 0)
+    assert np.all(np.diagonal(t, axis1=1, axis2=2) > 0)
 
 
 def test_cross_check_passes():
