@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 
@@ -62,7 +62,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs = tuple(_trim([int(c) for c in coeffs]))
+        # index() refuses a Fraction or a float instead of truncating it
+        self.coeffs = tuple(_trim([index(c) for c in coeffs]))
 
     # -- construction helpers -------------------------------------------------
 
@@ -673,7 +674,7 @@ def _lift(residues, modulus: int):
 
 def _as_ratfunc(num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
     scale = lcm(*(c.denominator for c in (*num, *den)))
-    return RatFunc(Poly(c * scale for c in num), Poly(c * scale for c in den))
+    return RatFunc(Poly(int(c * scale) for c in num), Poly(int(c * scale) for c in den))
 
 
 def _satisfies(cleared: list[list[Poly]], x: list[RatFunc]) -> bool:

@@ -24,18 +24,18 @@ factor of an (n - r) x k standard Gaussian block: upper trapezoidal,
 min(n - r, k) x k, with chi_{n-r-i} on its diagonal (0-based row i) and
 N(0, 1) above it (Bartlett's decomposition; Edelman and Rao 2005).  So
 Gram-Schmidt on the short block [G; T] gives the read rows with exactly
-the Haar law.  A complex H is realified into [Re H, Im H], k = 2c, whose
-real Gram matrix gives both H^H H and H^T H; T's two halves are the real
-and imaginary parts of the rows that stand in for H.  The COE reads
-S_ij = sum_k U_ki U_kj, a function of Z^H Z and Z^T Z alone, so it takes
-r = 0 and c the distinct labels of rows and columns together.  A sample
-thus draws (r + min(n - r, k)) c entries, O(c (r + c)) whatever n, and
-Gram-Schmidt on them costs c times that.  Sampling is vectorized over
-stacked blocks in batches of a fixed number of entries, so memory stays
-bounded.  On two cores a million samples at n = 8 take 0.06-0.7 s for
-c = 1 or 2.  A large c costs more than LAPACK's QR would: 5 000 unitary
-samples at c = n = 64 take 5.2-5.6 s, against 3.3 s by QR.  Results are
-reproducible for a fixed (seed, samples, dimension, monomial).
+the Haar law.  Complex entries are realified: G and H are real blocks of
+k = 2c columns, real parts in the first c, whose real Gram matrix gives
+both H^H H and H^T H.  The COE reads S_ij = sum_k U_ki U_kj, a function
+of Z^H Z and Z^T Z alone, so it takes r = 0 and c the distinct labels of
+rows and columns together.  A sample thus draws (r + min(n - r, k)) c
+entries, O(c (r + c)) whatever n, and Gram-Schmidt on them costs c times
+that.  Sampling is vectorized over stacked blocks in batches of a fixed
+number of entries, so memory stays bounded.  On two cores a million
+samples at n = 8 take 0.06-0.7 s for c = 1 or 2.  A large c costs more
+than LAPACK's QR would: 5 000 unitary samples at c = n = 64 take
+5.2-5.6 s, against 3.3 s by QR.  Results are reproducible for a fixed
+(seed, samples, dimension, monomial).
 """
 
 from __future__ import annotations
@@ -77,24 +77,16 @@ def _sample_batch(ensemble: Ensemble, rng: np.random.Generator, count: int, n: i
     Orthogonal and unitary: rows 1..rows of the first c columns of Haar
     matrices, shape (count, rows, c).  COE: the leading c x c block of
     S = U^T U, which reads all of columns 1..c of U (mc_integrate passes
-    rows = 0).  The read rows are drawn as Gaussian rows, real parts then
-    imaginary parts; the R factor of the other n - rows rows is stacked
-    under them, and Gram-Schmidt runs on that short block (see the module
-    docstring).  At rows = n the R factor is empty and this is Gram-Schmidt
-    on a full n x c Gaussian block.
+    rows = 0).  The read rows are drawn as one real Gaussian block of k = c
+    columns, or k = 2c with real parts in the first c for complex entries;
+    the R factor of the other n - rows rows is stacked under them, and
+    Gram-Schmidt runs on that short block (see the module docstring).  At
+    rows = n the R factor is empty and this is Gram-Schmidt on a full n x c
+    Gaussian block.
     """
-    shape = (count, rows, c)
-    if ensemble.complex_entries:
-        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-        # [Re H, Im H] realified, so its R factor has 2c columns: real parts, then imaginary
-        t = _r_factor(rng, count, n - rows, 2 * c)
-        # (re + 1j * im) / sqrt(2), filled in place rather than through three temporaries
-        q = np.empty((count, rows + t.shape[1], c), dtype=complex)
-        q.real[:, :rows], q.imag[:, :rows] = re, im
-        q.real[:, rows:], q.imag[:, rows:] = t[:, :, :c], t[:, :, c:]
-        q /= math.sqrt(2.0)
-    else:
-        q = np.concatenate((rng.standard_normal(shape), _r_factor(rng, count, n - rows, c)), axis=1)
+    k = 2 * c if ensemble.complex_entries else c
+    z = np.concatenate((rng.standard_normal((count, rows, k)), _r_factor(rng, count, n - rows, k)), axis=1)
+    q = z[..., :c] + 1j * z[..., c:] if ensemble.complex_entries else z
     # Gram-Schmidt in place, each column projected twice; dividing by the norm
     # leaves the triangular factor a positive diagonal
     for j in range(c):
@@ -131,7 +123,7 @@ class McEstimate:
     samples: int
     seed: int
     dimension: int
-    imag_mean: float = 0.0  # sanity statistic for complex ensembles
+    imag_mean: float  # sanity statistic, 0.0 for the orthogonal ensemble
 
     def to_json(self) -> dict:
         return {
@@ -156,9 +148,9 @@ def mc_integrate(
     Each sample draws the r distinct rows of the c distinct columns the
     monomial reads and an R factor of at most 2c rows for the rest, O(c (r +
     c)) entries whatever n (see the module docstring; the COE has r = 0).
-    For the complex ensembles the real part is averaged (the checked exact
-    values are real by invariance); the mean imaginary part is kept as a
-    sanity statistic.
+    The real part is averaged (the checked exact values are real by
+    invariance); the mean imaginary part is kept as a sanity statistic, and
+    is 0.0 for the orthogonal ensemble.
     """
     monomial.validate(ensemble)
     if not monomial.is_concrete():
@@ -191,15 +183,13 @@ def mc_integrate(
     while done < samples:
         count = min(batch, samples - done)
         mats = _sample_batch(ensemble, rng, count, n, c, rows)
-        vals = np.ones(count, dtype=complex if ensemble.complex_entries else float)
-        for row, col, conj in slots:
-            entry = mats[:, row, col]
-            vals = vals * (np.conj(entry) if conj else entry)
-        re = vals.real if ensemble.complex_entries else vals
+        vals = np.ones(count)
+        for i, j, conj in slots:
+            vals = vals * (np.conj(mats[:, i, j]) if conj else mats[:, i, j])
+        re = vals.real
         total += float(re.sum())
         total_sq += float((re * re).sum())
-        if ensemble.complex_entries:
-            total_im += float(vals.imag.sum())
+        total_im += float(vals.imag.sum())
         done += count
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)

@@ -39,6 +39,15 @@ def test_n_power_refuses_a_negative_power():
         RatFunc.n_power(-2)
 
 
+@pytest.mark.parametrize("make", [lambda: Poly([Fraction(1, 2), 3]), lambda: Poly([2.7]),
+                                  lambda: RatFunc(1, Poly([Fraction(1, 3)]))],
+                         ids=["half", "float", "third-denominator"])
+def test_poly_refuses_non_integer_coefficients(make):
+    # int() would truncate these to 3*N, 2 and a zero denominator
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_poly_divexact():
     assert (N * N - 1).divexact(N - 1) == N + 1
     with pytest.raises(ValueError):

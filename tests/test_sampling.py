@@ -119,6 +119,23 @@ def test_mc_draws_one_column_per_distinct_label(monkeypatch, ens, text, r, c, ex
     assert abs(est.mean - float(exact)) <= 5 * est.standard_error
 
 
+@pytest.mark.parametrize("ens, text", [
+    (Ensemble.ORTHOGONAL, "M[1,1] M[2,2] M[1,2] M[2,1]"),
+    (Ensemble.UNITARY, "M[1,1] M[2,2] Mc[1,2] Mc[2,1]"),
+    (Ensemble.COE, "M[1,1] M[2,2] Mc[1,2] Mc[1,2]"),
+], ids=["orthogonal", "unitary", "coe"])
+def test_mc_imag_mean_from_one_value_path(ens, text):
+    # every ensemble sums the imaginary part of the same product over the slots:
+    # exactly 0 for real entries, and a nonzero estimate of 0 for complex ones,
+    # whose exact values are real by invariance
+    est = mc_integrate(ens, MonomialSpec.parse(text), 8, 20_000, seed=25)
+    if ens.complex_entries:
+        assert est.imag_mean != 0.0
+        assert abs(est.imag_mean) <= 5 * est.standard_error, (est.imag_mean, est.standard_error)
+    else:
+        assert est.imag_mean == 0.0
+
+
 def _mc_second_moment_traced(n: int):
     tracemalloc.start()
     try:
@@ -169,12 +186,12 @@ def test_column_sampler_matches_full_qr(ens, c):
     n, count = 7, 4
     rng = np.random.default_rng(31)
     full_re, full_im = rng.standard_normal((count, n, n)), rng.standard_normal((count, n, n))
-    blocks = [full_re[:, :, :c]]
-    full = full_re
+    block, full = full_re[:, :, :c], full_re
     if ens.complex_entries:
-        blocks.append(full_im[:, :, :c])
-        full = (full_re + 1j * full_im) / math.sqrt(2.0)
-    got = _sample_batch(ens, _FixedNormals(*blocks), count, n, c, n)
+        # one real block, real parts in the first c columns
+        block = np.concatenate((block, full_im[:, :, :c]), axis=2)
+        full = full_re + 1j * full_im
+    got = _sample_batch(ens, _FixedNormals(block), count, n, c, n)
     for i in range(count):
         u = _fixed_full_qr(full[i])
         want = (u.T @ u)[:c, :c] if ens is Ensemble.COE else u[:, :c]
@@ -194,8 +211,9 @@ def test_column_sampler_reorthogonalizes(ens):
         g = rng.standard_normal((count, n, c))
         g[:, :, 1] = g[:, :, 0] + 1e-9 * rng.standard_normal((count, n))
         blocks.append(g)
-    full = blocks[0] if len(blocks) == 1 else (blocks[0] + 1j * blocks[1]) / math.sqrt(2.0)
-    got = _sample_batch(ens, _FixedNormals(*blocks), count, n, c, n)
+    block = np.concatenate(blocks, axis=2)
+    full = block[..., :c] + 1j * block[..., c:] if ens.complex_entries else block
+    got = _sample_batch(ens, _FixedNormals(block), count, n, c, n)
     for i in range(count):
         # c = n, so the COE block is the whole of S = U^T U, itself unitary
         assert np.max(np.abs(got[i].conj().T @ got[i] - np.eye(c))) < 1e-12
