@@ -17,7 +17,6 @@ read from or written to disk.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -88,12 +87,18 @@ def _warn_cost(command: str, kappa: int, factors: int = 0) -> None:
         print(f"warning: {command} at kappa={kappa} may take long: {why}", file=sys.stderr)
 
 
+def _print_json(obj, indent: int | None = None) -> None:
+    import json  # only JSON output needs it; importing costs start-up time
+
+    json.dump(obj, sys.stdout, indent=indent)
+    print()
+
+
 def _cmd_weights(args) -> int:
     _warn_cost("weights", args.kappa)
     weight = solve_weight(args.ensemble, args.kappa)
     if args.format == "json":
-        json.dump(weight.to_json(), sys.stdout, indent=2)
-        print()
+        _print_json(weight.to_json(), indent=2)
     else:
         print(f"weight table: ensemble={weight.ensemble.value} kappa={weight.kappa}")
         for p, v in weight.items():
@@ -115,8 +120,7 @@ def _cmd_integrate(args) -> int:
     weight = solve_weight(args.ensemble, args.kappa)
     expansion = integrate_monomial(weight, monomial)
     if args.format == "json":
-        json.dump(expansion.to_json(), sys.stdout, indent=2)
-        print()
+        _print_json(expansion.to_json(), indent=2)
     else:
         # every line is formed before the first is printed: a pole at --at prints nothing
         if monomial.is_concrete():
@@ -160,12 +164,10 @@ def _cmd_sample(args) -> int:
     if args.expect is not None:
         expected = RatFunc(*args.expect.as_integer_ratio())
         report = cross_check(expected, args.ensemble, monomial, args.N, args.samples, args.seed)
-        json.dump(report.to_json(), sys.stdout)
-        print()
+        _print_json(report.to_json())
         return 0 if report.passed else 1
     est = mc_integrate(args.ensemble, monomial, args.N, args.samples, args.seed)
-    json.dump(est.to_json(), sys.stdout)
-    print()
+    _print_json(est.to_json())
     return 0
 
 

@@ -41,8 +41,8 @@ than LAPACK's QR would: 5 000 unitary samples at c = n = 64 take
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +85,17 @@ def _sample_batch(ensemble: Ensemble, rng: np.random.Generator, count: int, n: i
     Gaussian block.
     """
     k = 2 * c if ensemble.complex_entries else c
-    z = np.concatenate((rng.standard_normal((count, rows, k)), _r_factor(rng, count, n - rows, k)), axis=1)
-    q = z[..., :c] + 1j * z[..., c:] if ensemble.complex_entries else z
+    q = np.empty((count, rows + min(n - rows, k), c), dtype=complex if ensemble.complex_entries else float)
+
+    # one array, each draw copied in before the next is made; complex entries
+    # take their real parts from the first c columns
+    def fill(part, block):
+        part.real = block[..., :c]
+        if ensemble.complex_entries:
+            part.imag = block[..., c:]
+
+    fill(q[:, :rows], rng.standard_normal((count, rows, k)))
+    fill(q[:, rows:], _r_factor(rng, count, n - rows, k))
     # Gram-Schmidt in place, each column projected twice; dividing by the norm
     # leaves the triangular factor a positive diagonal
     for j in range(c):
@@ -114,8 +123,7 @@ def sample_haar(ensemble: Ensemble, n: int, seed: int) -> np.ndarray:
     return _sample_batch(ensemble, rng, 1, n, n, n)[0]
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Sample mean of a monomial with its statistical error."""
 
     mean: float
@@ -197,8 +205,7 @@ def mc_integrate(
     return McEstimate(mean, stderr, samples, seed, n, total_im / samples)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Symbolic-vs-Monte-Carlo comparison at 5 standard errors."""
 
     exact: Fraction

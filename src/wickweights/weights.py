@@ -17,7 +17,7 @@ conditions at run time by an independent path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import RatFunc
 from .combinatorics import Partition, enumerate_partitions, partition_label
@@ -32,8 +32,7 @@ from .wick import (
 )
 
 
-@dataclass(frozen=True)
-class GramSystem:
+class GramSystem(NamedTuple):
     """Cross-moment matrix and target vector defining a weight of order kappa."""
 
     ensemble: Ensemble
@@ -62,13 +61,12 @@ def build_gram_system(ensemble: Ensemble, kappa: int) -> GramSystem:
     return GramSystem(ensemble, kappa, parts, matrix, rhs)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(NamedTuple):
     """Solved weight: ensemble, order kappa, and partition -> coefficient."""
 
     ensemble: Ensemble
     kappa: int
-    coefficients: dict[Partition, RatFunc] = field(hash=False)
+    coefficients: dict[Partition, RatFunc]
 
     def coefficient(self, partition: Partition) -> RatFunc:
         return self.coefficients[tuple(partition)]
@@ -108,8 +106,7 @@ def weighted_moment(weight: WeightFunction, slots: list[Slot]) -> DeltaExpansion
     return entry_moment(weight.ensemble, weight.coefficients, slots)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of checking <w (M M+)_(i1,l1)...(ik,lk)> = d_(i1,l1)...d_(ik,lk).
 
     residual maps each class mu of k whose coefficient misses its target

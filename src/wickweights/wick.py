@@ -61,7 +61,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -110,15 +109,19 @@ def _parse_index(tok: str):
     return int(tok) if tok.isdigit() else tok
 
 
-@dataclass(frozen=True)
-class MonomialSpec:
-    """An ordered product of matrix-entry factors."""
-
+class _Monomial(NamedTuple):  # a NamedTuple cannot define __new__, its subclass can
     slots: tuple[Slot, ...]
 
-    def __post_init__(self):
-        if not self.slots:
+
+class MonomialSpec(_Monomial):
+    """An ordered product of matrix-entry factors."""
+
+    __slots__ = ()
+
+    def __new__(cls, slots: tuple[Slot, ...]):
+        if not slots:
             raise ValueError("monomial must have at least one factor")
+        return super().__new__(cls, slots)
 
     @staticmethod
     def parse(text: str) -> "MonomialSpec":

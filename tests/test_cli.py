@@ -210,6 +210,13 @@ def test_integrate_symbolic_mixed_anchors(capsys):
     assert code == 0 and len(json.loads(out)) == 4
 
 
+def test_empty_monomial_is_usage_error(capsys):
+    for argv in (("integrate", "--ensemble", "orthogonal", "--kappa", "1", "--monomial", ""),
+                 ("sample", "--ensemble", "unitary", "--monomial", " ", "--N", "4", "--samples", "10000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "at least one factor" in err, argv
+
+
 def test_integrate_rejects_conjugation_for_orthogonal(capsys):
     code, _, err = run(capsys, "integrate", "--ensemble", "orthogonal", "--kappa", "2",
                        "--monomial", "M[1,1] Mc[1,1]")
@@ -298,11 +305,14 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_import_without_numpy():
-    # start-up loads numpy only when the Monte Carlo oracle is asked for
+    # start-up loads numpy only when the Monte Carlo oracle is asked for, and
+    # json only when a command writes JSON
     code = (
         "import sys, wickweights.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy imported at start-up'\n"
         "assert 'logging' not in sys.modules, 'logging imported at start-up'\n"
+        "late = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+        "assert not late, f'{late} imported at start-up'\n"
         "from wickweights import mc_integrate\n"
         "assert 'numpy' in sys.modules and callable(mc_integrate)\n"
     )

@@ -257,6 +257,33 @@ def test_cross_check_negative_control():
     assert report.z > 5
 
 
+@pytest.mark.parametrize("ens, rows", [(Ensemble.UNITARY, 2), (Ensemble.COE, 0)])
+def test_complex_block_built_once(ens, rows):
+    # each realified draw is copied into the one complex block as it is made,
+    # so a batch holds the block B and at most one draw at a time: about 2B at
+    # the peak, against 2.7B when the block was formed from a real copy of
+    # both draws plus an imaginary-part temporary
+    count, c, n = 20_000, 2, 8
+    block = count * (rows + min(n - rows, 2 * c)) * c * 16
+    tracemalloc.start()
+    try:
+        _sample_batch(ens, np.random.default_rng(0), count, n, c, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * block
+
+
+def test_record_semantics():
+    est = sampling.McEstimate(0.5, 0.25, 10_000, 3, 8, 0.0)
+    report = sampling.CheckReport(Fraction(1, 2), est, True, 0.0)
+    assert repr(est) == "McEstimate(mean=0.5, standard_error=0.25, samples=10000, seed=3, dimension=8, imag_mean=0.0)"
+    assert repr(report) == f"CheckReport(exact=Fraction(1, 2), estimate={est!r}, passed=True, z=0.0)"
+    assert est == sampling.McEstimate(0.5, 0.25, 10_000, 3, 8, 0.0) and est != sampling.McEstimate(0.5, 0.25, 10_000, 4, 8, 0.0)
+    with pytest.raises(AttributeError):
+        report.passed = False
+
+
 def test_cross_check_report_json():
     report = cross_check(INV_N, Ensemble.ORTHOGONAL, MonomialSpec.parse("M[1,1] M[1,1]"), 8, 50_000, seed=14)
     obj = report.to_json()

@@ -115,6 +115,19 @@ def test_unit_weight():
     assert got.terms[((("i1", "l1"), None),)] == RatFunc(1)
 
 
+def test_record_semantics():
+    w = unit_weight(Ensemble.COE)
+    assert repr(w) == "WeightFunction(ensemble=<Ensemble.COE: 'coe'>, kappa=0, coefficients={(): RatFunc(1)})"
+    assert w == WeightFunction(Ensemble.COE, 0, {(): RatFunc(1)}) != unit_weight(Ensemble.UNITARY)
+    with pytest.raises(AttributeError):
+        w.kappa = 1
+    report = verify_conditions(solve_weight(Ensemble.ORTHOGONAL, 1), 1)
+    assert repr(report) == (
+        "ConditionReport(ensemble=<Ensemble.ORTHOGONAL: 'orthogonal'>, kappa=1, k=1, ok=True, residual={})")
+    assert report == verify_conditions(solve_weight(Ensemble.ORTHOGONAL, 1), 1)
+    assert str(report) == "condition k=1 for orthogonal kappa=1: ok"
+
+
 def test_weight_json_roundtrip():
     w = solve_weight(Ensemble.UNITARY, 2)
     obj = w.to_json()
