@@ -19,15 +19,21 @@ Two value types live here:
     compared with ``==`` instead of ad-hoc simplification.
 
 Every operation is exact; nothing in this module touches floating point.
-One Euclidean algorithm serves both types: ``poly_gcd``, which keeps every
-``RatFunc`` reduced, runs Euclid modulo 61-bit primes, joins the images
-by the Chinese remainder theorem and returns a lift only once it divides
-both arguments exactly.
+Nearly every denominator the engine forms is a constant times linear
+factors N + r that it knows before forming it.  ``RatFunc.factored``
+reduces such a ratio by trial division at each root -r and one integer
+content, and the result keeps its factors, so that ``clear_denominators``
+takes the least common multiple as the larger exponent per r.  Any other
+ratio, like a hand-made coefficient over N^2 + 1, and every product or
+quotient of two ``RatFunc``s, is reduced by ``poly_gcd``: Euclid modulo
+61-bit primes, the images joined by the Chinese remainder theorem and a
+lift returned only once it divides both arguments exactly.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import count
@@ -225,6 +231,18 @@ N = Poly((0, 1))
 
 _ZERO = Poly()
 _ONE = Poly((1,))
+#: The factors of a constant denominator; shared, so never mutated.
+_NO_FACTORS: Counter = Counter()
+
+
+def linear_product(roots: Iterable[int], shift: int = 0) -> Poly:
+    """prod over the roots r, repeated by multiplicity, of (N + shift + r).
+    Each factor turns the coefficients e_i into (shift + r) e_i + e_(i-1)."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [(shift + r) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return Poly(coeffs)
+
 
 
 def _primitive(a: Poly) -> Poly:
@@ -288,17 +306,25 @@ def _as_poly(x) -> Poly:
 
 
 class RatFunc:
-    """Reduced ratio of two integer polynomials in N.  Immutable."""
+    """Reduced ratio of two integer polynomials in N.  Immutable.
 
-    __slots__ = ("num", "den")
+    factors holds the linear factors {r: e} of den = den.lc prod (N + r)^e
+    when they are known, empty for a constant den, and None otherwise.
+    == and hash ignore it.
+    """
+
+    __slots__ = ("num", "den", "factors")
 
     def __init__(self, num=0, den=1):
         num = _as_poly(num)
         den = _as_poly(den)
         if not den:
             raise ZeroDivisionError("division by zero polynomial")
+        if den.degree == 0:
+            self._reduce(num, den.lc, _NO_FACTORS)
+            return
         if not num:
-            self.num, self.den = _ZERO, _ONE
+            self.num, self.den, self.factors = _ZERO, _ONE, _NO_FACTORS
             return
         g = poly_gcd(num, den)
         if g != _ONE:
@@ -306,7 +332,28 @@ class RatFunc:
         c = gcd(num.content(), den.content()) * (1 if den.lc > 0 else -1)
         if c != 1:
             num, den = (Poly(x // c for x in f.coeffs) for f in (num, den))
-        self.num, self.den = num, den
+        self.num, self.den, self.factors = num, den, None if den.degree else _NO_FACTORS
+
+    def _reduce(self, num: Poly, scale: int, factors: Counter) -> None:
+        """Set self to num / (scale prod (N + r)^e) over the factors {r: e}, reduced (see factored)."""
+        if not num:
+            self.num, self.den, self.factors = _ZERO, _ONE, _NO_FACTORS
+            return
+        coeffs, left = list(num.coeffs), Counter()
+        for r, e in factors.items():
+            while e:  # Horner at N = -r: the quotient by N + r, descending, then the remainder
+                q = [coeffs[-1]]
+                for c in coeffs[-2::-1]:
+                    q.append(c - r * q[-1])
+                if q.pop():
+                    break
+                coeffs, e = q[::-1], e - 1
+            if e:
+                left[r] = e
+        c = gcd(*coeffs, scale) * (1 if scale > 0 else -1)
+        if c != 1:
+            coeffs = [x // c for x in coeffs]
+        self.num, self.den, self.factors = Poly(coeffs), linear_product(left.elements()) * (scale // c), left
 
     # -- constructors ------------------------------------------------------------
 
@@ -314,6 +361,23 @@ class RatFunc:
     def n_power(k: int) -> "RatFunc":
         """N^k, k >= 0."""
         return RatFunc(Poly.n_power(k))
+
+    @staticmethod
+    def factored(num: Poly, den: Poly, factors: Counter | None, more: Iterable[int] = ()) -> "RatFunc":
+        """num / (den prod over the roots r in more of (N + r)), where den = den.lc prod (N + r)^e
+        over its factors {r: e}, or factors is None when they are not known.
+
+        Every irreducible factor of a known denominator is one of its N + r.  So dividing num by
+        N + r while -r is a root of it (Horner), then both by their integer content, leaves the
+        coprime pair with positive leading coefficient that RatFunc(num, den) gives, with no gcd.
+        Unknown factors leave the reduction to RatFunc and poly_gcd.
+        """
+        more = Counter(more)
+        if factors is None:
+            return RatFunc(num, den * linear_product(more.elements()))
+        out = object.__new__(RatFunc)
+        out._reduce(num, den.lc, factors + more)
+        return out
 
     # -- queries -----------------------------------------------------------------
 
@@ -336,17 +400,25 @@ class RatFunc:
 
     # -- field arithmetic -----------------------------------------------------------
 
+    def _over_den(self, num: Poly) -> "RatFunc":
+        """num / den for num = +-self.num + p den with p a polynomial, built without a gcd.  It
+        is already reduced: a polynomial or an integer that divides den and num divides
+        self.num too, and den keeps its sign."""
+        out = object.__new__(RatFunc)
+        out.num, out.den, out.factors = num, self.den, self.factors
+        return out
+
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return self._over_den(-self.num)
 
     def __add__(self, other) -> "RatFunc":
         if isinstance(other, (int, Poly)):
-            other = RatFunc(other)
+            return self._over_den(self.num + other * self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other) -> "RatFunc":
         if isinstance(other, (int, Poly)):
-            other = RatFunc(other)
+            return self._over_den(self.num - other * self.den)
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other) -> "RatFunc":
@@ -365,7 +437,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __rsub__(self, other) -> "RatFunc":
-        return RatFunc(other) - self
+        return self._over_den(_as_poly(other) * self.den - self.num)
 
     def __rtruediv__(self, other) -> "RatFunc":
         return RatFunc(other) / self
@@ -400,13 +472,23 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly]]:
-    """A least common multiple of the denominators of fs, and each numerator over it."""
+def clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly], Counter | None]:
+    """A common multiple of the denominators of fs, each numerator over it, and its factors
+    {r: e} when those of every denominator are known, None otherwise.  Known factors give the
+    least common multiple, the larger exponent per r, and each cofactor as the product of the
+    factors its denominator lacks, with no gcd."""
+    if all(f.factors is not None for f in fs):
+        top: Counter = Counter()
+        for f in fs:
+            top |= f.factors
+        scale = lcm(*(f.den.lc for f in fs))
+        return (linear_product(top.elements()) * scale,
+                [f.num * (linear_product((top - f.factors).elements()) * (scale // f.den.lc)) for f in fs], top)
     common = _ONE
     for d in dict.fromkeys(f.den for f in fs):
         if d != _ONE:
             common = common * d.divexact(poly_gcd(common, d))
-    return common, [f.num * common.divexact(f.den) for f in fs]
+    return common, [f.num * common.divexact(f.den) for f in fs], None
 
 
 def scaled_sum(terms: Iterable[tuple[int | Fraction, Poly]]) -> tuple[Poly, int]:
@@ -427,9 +509,9 @@ def linear_combination(terms: Iterable[tuple[int | Fraction, RatFunc]]) -> RatFu
     """sum of q * f over the terms (q, f), over one common denominator and
     reduced once, where a running sum would take a gcd at every step."""
     terms = list(terms)
-    den, nums = clear_denominators([f for _, f in terms])
+    den, nums, factors = clear_denominators([f for _, f in terms])
     num, scale = scaled_sum((q, n) for (q, _), n in zip(terms, nums))
-    return RatFunc(num, den * scale)
+    return RatFunc.factored(num, den * scale, factors)
 
 
 #: The first modulus of the solve, a Mersenne prime.
@@ -679,7 +761,7 @@ def _as_ratfunc(num: Sequence[Fraction], den: Sequence[Fraction]) -> RatFunc:
 
 def _satisfies(cleared: list[list[Poly]], x: list[RatFunc]) -> bool:
     """A x == b exactly, on the cleared augmented rows over one common denominator of x."""
-    common, scaled = clear_denominators(x)
+    common, scaled, _ = clear_denominators(x)
     return all(sum((a * v for a, v in zip(row, scaled)), _ZERO) == row[-1] * common for row in cleared)
 
 

@@ -64,7 +64,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import Poly, RatFunc, clear_denominators, linear_combination, scaled_sum
+from .algebra import Poly, RatFunc, clear_denominators, linear_combination, linear_product, scaled_sum
 from .combinatorics import (
     DeltaStructure,
     Partition,
@@ -89,9 +89,14 @@ class Ensemble(str, enum.Enum):
         return self is not Ensemble.ORTHOGONAL
 
     @property
+    def pair_shift(self) -> int:
+        """s of the pair denominator N + s: 1 for the COE, 0 otherwise."""
+        return int(self is Ensemble.COE)
+
+    @property
     def pair_denominator(self) -> Poly:
         """Normalizer of one elementary contraction: N, or N+1 for the COE."""
-        return Poly((1, 1)) if self is Ensemble.COE else Poly((0, 1))
+        return Poly((self.pair_shift, 1))
 
 
 class Slot(NamedTuple):
@@ -264,7 +269,8 @@ def gaussian_trace_moment(
     powers = tuple(sorted((x for p in invariants for x in check_partition(p)), reverse=True))
     if sum(powers) > _MAX_TRACE_POWER:
         raise ValueError(f"total trace power {sum(powers)} exceeds the limit of {_MAX_TRACE_POWER}")
-    return RatFunc(Poly(_loop_numerator(ensemble, powers)), ensemble.pair_denominator ** sum(powers))
+    return RatFunc.factored(Poly(_loop_numerator(ensemble, powers)), Poly((1,)), Counter(),
+                            [ensemble.pair_shift] * sum(powers))
 
 
 def moment_with_invariants(
@@ -390,15 +396,6 @@ def _skew(theta: Partition, sigma: Partition, alpha: int) -> list[int]:
     return [alpha * j - i for i, row in enumerate(theta) for j in range(sigma[i] if i < len(sigma) else 0, row)]
 
 
-def _boxes(offsets: Iterable[int], shift: int = 0) -> Poly:
-    """prod over the offsets x of (N + shift + x): Z_theta(N + shift) for the boxes of theta.
-    Each factor turns the coefficients e_i into (shift + x) e_i + e_(i-1)."""
-    coeffs = [1]
-    for x in offsets:
-        coeffs = [(shift + x) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return Poly(coeffs)
-
-
 def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequence[int]) -> list[RatFunc]:
     """The class coefficients c of T = A(N + s_1) ... A(N + s_r) c, in closed form.
 
@@ -415,20 +412,20 @@ def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequenc
 
     in which the scale of J_theta cancels, so the integer v_theta of
     _jack_table stands for it.  The targets are cleared once, each
-    projection is reduced once, and the projections are cleared once more
-    for the integer sums over theta.
+    projection is reduced once over its eigenvalue's linear factors, and
+    the projections are cleared once more for the integer sums over theta.
     """
     z, jacks = _jack_table(k, alpha)
-    den, nums = clear_denominators(targets)
+    den, nums, factors = clear_denominators(targets)
     live, projs = [], []
     for jack in jacks:
         proj, _ = scaled_sum((a, t) for a, t in zip(jack.v, nums) if a and t)
         if proj:
-            eigenvalue = math.prod((_boxes(jack.offsets, s) for s in shifts), start=den * jack.norm)
             live.append(jack.v)
-            projs.append(RatFunc(proj, eigenvalue))
-    den, nums = clear_denominators(projs)
-    return [RatFunc(w * scaled_sum((v[mu], f) for v, f in zip(live, nums) if v[mu])[0], den) for mu, w in enumerate(z)]
+            projs.append(RatFunc.factored(proj, den * jack.norm, factors, [s + x for s in shifts for x in jack.offsets]))
+    den, nums, factors = clear_denominators(projs)
+    return [RatFunc.factored(w * scaled_sum((v[mu], f) for v, f in zip(live, nums) if v[mu])[0], den, factors)
+            for mu, w in enumerate(z)]
 
 
 @functools.cache
@@ -441,6 +438,14 @@ def _down(phi: Partition, r: int, alpha: int) -> Fraction:
     hooks = [(alpha * (j - c) + depth[c] - 1 - r, alpha) for c in range(j)]
     hooks += [(alpha * (phi[i] - 1 - j) + depth[j] - 1 - i, 1) for i in range(r)]
     return Fraction(math.prod(h + e for h, e in hooks), math.prod(h for h, _ in hooks))
+
+
+@functools.cache
+def _ell(theta: Partition, alpha: int, s: int) -> tuple[Poly, int]:
+    """ell_theta = Z_theta(N + s) L_theta(c 1) of kernel_weight, as an integer polynomial and the
+    denominator it is over."""
+    return scaled_sum(((-1) ** sum(sigma) * b, linear_product([0] * sum(sigma) + _skew(theta, sigma, alpha), s))
+                      for sigma, b in _binomials(theta, alpha).items())
 
 
 @functools.cache
@@ -486,35 +491,35 @@ def kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
         a_mu = (-d)^m sum_(sigma of m) J_sigma[mu] / Z_sigma(N + s) sum_(theta containing sigma)
                binom(theta, sigma) ell_theta Z_theta(N) / (j_theta Z_sigma(N)),
 
-    summed over the lcm of the Z_sigma(N + s) and reduced once.  The binom(theta, sigma) of
-    each theta come from one _binomials(theta).  With J_sigma = scale_sigma v_sigma as in
-    _jack_table, scale_sigma = 1 / v_sigma[1^m] joins the inner sum, and the outer sum has
-    the integer multipliers v_sigma[mu] over one denominator per m.
+    summed over the lcm of the Z_sigma(N + s) and reduced once, by trial division at its linear
+    factors.  ell_theta is _ell(theta), and the binom(theta, sigma) of each theta come from one
+    _binomials(theta).  With J_sigma = scale_sigma v_sigma as in _jack_table, scale_sigma =
+    1 / v_sigma[1^m] joins the inner sum, and the outer sum has the integer multipliers
+    v_sigma[mu] over one denominator per m.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    alpha, s = (1, 0) if ensemble is Ensemble.UNITARY else (2, int(ensemble is Ensemble.COE))
+    alpha, s = 1 if ensemble is Ensemble.UNITARY else 2, ensemble.pair_shift
     jacks = {theta: jack for k in range(kappa + 1) for theta, jack in zip(partitions_of(k), _jack_table(k, alpha)[1])}
     inner: dict[Partition, list] = {theta: [] for theta in jacks}  # sigma -> the terms of its sum over theta
     for theta in jacks:
-        binom = _binomials(theta, alpha)
-        ell, scale = scaled_sum(((-1) ** sum(sigma) * b, _boxes([0] * sum(sigma) + _skew(theta, sigma, alpha), s))
-                                for sigma, b in binom.items())
+        ell, scale = _ell(theta, alpha, s)
         over = 1 / (jacks[theta].scale ** 2 * jacks[theta].norm * scale)
-        for sigma, b in binom.items():
-            inner[sigma].append((b * jacks[sigma].scale * over, ell * _boxes(_skew(theta, sigma, alpha))))
+        for sigma, b in _binomials(theta, alpha).items():
+            inner[sigma].append((b * jacks[sigma].scale * over, ell * linear_product(_skew(theta, sigma, alpha))))
     out = {}
     for m in range(kappa + 1):
         sigmas = list(partitions_of(m))
         lcm = functools.reduce(Counter.__or__, (Counter(jacks[sigma].offsets) for sigma in sigmas))
         sums = [scaled_sum(inner[sigma]) for sigma in sigmas]
         q = math.lcm(*(q for _, q in sums))
-        sums = [f * (q // f_q) * _boxes((lcm - Counter(jacks[sigma].offsets)).elements(), s)
+        sums = [f * (q // f_q) * linear_product((lcm - Counter(jacks[sigma].offsets)).elements(), s)
                 for sigma, (f, f_q) in zip(sigmas, sums)]
-        lead, den = (-ensemble.pair_denominator) ** m, _boxes(lcm.elements(), s) * q
+        lead, den = (-ensemble.pair_denominator) ** m, linear_product(lcm.elements(), s) * q
+        factors = Counter({s + x: e for x, e in lcm.items()})
         for i, mu in enumerate(sigmas):
             num, _ = scaled_sum((jacks[sigma].v[i], f) for sigma, f in zip(sigmas, sums) if jacks[sigma].v[i])
-            out[mu] = RatFunc(lead * num, den)
+            out[mu] = RatFunc.factored(lead * num, den, factors)
     return out
 
 
@@ -523,12 +528,14 @@ def _class_targets(
 ) -> list[RatFunc]:
     """sum_p a_p <I_p p_lam(W)>_g for every class lam, p_lam(W) = prod_j tr W^(lam_j), each summed
     over its known denominator D d^(m+|lam|) as the integer loop numerators n_p d^(m-|p|) num(p + lam)
-    of _loop_numerator, with a_p = n_p / D and m the largest |p|, and reduced once."""
-    den, nums = clear_denominators(list(coefficients.values()))
+    of _loop_numerator, with a_p = n_p / D and m the largest |p|, and reduced once over the factors
+    of D and the factor d = N + s."""
+    den, nums, factors = clear_denominators(list(coefficients.values()))
     d, m = ensemble.pair_denominator, max((sum(p) for p, a in coefficients.items() if a), default=0)
     scaled = [(check_partition(p), n * d ** (m - sum(p))) for p, n in zip(coefficients, nums) if n]
-    return [RatFunc(sum(n * Poly(_loop_numerator(ensemble, tuple(sorted(p + lam, reverse=True)))) for p, n in scaled),
-                    den * d ** (m + sum(lam))) for lam in classes]
+    return [RatFunc.factored(sum(n * Poly(_loop_numerator(ensemble, tuple(sorted(p + lam, reverse=True))))
+                                 for p, n in scaled), den, factors, [ensemble.pair_shift] * (m + sum(lam)))
+            for lam in classes]
 
 
 def gram_class_coefficients(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> list[RatFunc]:

@@ -1,6 +1,8 @@
 import json
+import math
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,8 @@ from wickweights.algebra import (
     Poly,
     RatFunc,
     SingularMatrixError,
+    clear_denominators,
+    linear_product,
     poly_gcd,
     solve_linear_system,
 )
@@ -187,6 +191,73 @@ def test_field_axioms_random():
         assert f - f == RatFunc(0)
         if g:
             assert (f / g) * g == f
+
+
+def _split(rng, roots=range(-6, 7)):
+    """Random linear factors {r: e} of N + r, repeated roots, negative ones and 0 among them."""
+    return Counter(rng.choice(roots) for _ in range(rng.randint(0, 6)))
+
+
+def test_factored_matches_general_random():
+    # num / (scale prod (N + r)^e) reduced by trial division at the known roots is the
+    # general path's canonical pair, with the same hash, str and JSON; num shares
+    # some of the factors, and the scale and num share a content
+    rng = random.Random(26)
+    for trial in range(400):
+        factors, content = _split(rng), rng.choice((1, 1, 2, 6, -4, 3**5))
+        scale = content * rng.choice((1, 5, -7, 2**70))
+        num = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]) * content
+        num = num * linear_product(rng.sample(list(factors.elements()), rng.randint(0, sum(factors.values()))))
+        if trial % 10 == 0:
+            num = Poly()
+        den = linear_product(factors.elements()) * scale
+        got, want = RatFunc.factored(num, den, factors), RatFunc(num, den)
+        assert got == want and (got.num, got.den) == (want.num, want.den)
+        assert hash(got) == hash(want) and str(got) == str(want) and got.to_json() == want.to_json()
+        assert got.den == linear_product(got.factors.elements()) * got.den.lc
+        more = list(_split(rng).elements())
+        assert RatFunc.factored(num, den, factors, more) == RatFunc(num, den * linear_product(more))
+        assert RatFunc.factored(num, den, None, more) == RatFunc(num, den * linear_product(more))
+
+
+def test_plus_poly_matches_general_random():
+    # f + p, f - p, p - f and -f are formed over f.den with no gcd; they equal the
+    # general reduction of the same pair, for split and for unsplit denominators
+    rng = random.Random(27)
+    for trial in range(300):
+        factors = _split(rng)
+        den = linear_product(factors.elements()) * rng.choice((1, 3, -2))
+        if trial % 3 == 0:
+            den = den * (N * N + 1)
+        f = RatFunc(Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]), den)
+        p = rng.choice((0, 1, -1, 7, Poly([rng.randint(-3, 3) for _ in range(3)])))
+        cases = [(f + p, f.num + p * f.den), (f - p, f.num - p * f.den), (-f, -f.num)]
+        if isinstance(p, int):  # Poly + RatFunc is not defined
+            cases += [(p + f, f.num + p * f.den), (p - f, p * f.den - f.num)]
+        for got, num in cases:
+            want = RatFunc(num, f.den)
+            assert got == want and (got.num, got.den) == (want.num, want.den) and hash(got) == hash(want)
+            assert (got.factors is None) == (f.factors is None)
+
+
+def test_clear_denominators_over_known_factors():
+    # the factored path's common denominator is the least common multiple, the larger
+    # exponent per root times the lcm of the constants, and each numerator is over it
+    rng = random.Random(28)
+    for _ in range(100):
+        fs = [RatFunc.factored(Poly([rng.randint(-5, 5) for _ in range(3)]),
+                               linear_product(fs.elements()) * rng.choice((1, 2, 6, -9)), fs)
+              for fs in (_split(rng) for _ in range(rng.randint(1, 5)))]
+        common, nums, factors = clear_denominators(fs)
+        want = Counter()
+        for f in fs:
+            want |= f.factors
+        assert factors == want
+        assert common == linear_product(want.elements()) * math.lcm(*(f.den.lc for f in fs))
+        assert [RatFunc(n, common) for n in nums] == fs
+        general = [RatFunc(f.num, f.den * (N * N + 1)) for f in fs]
+        common, nums, factors = clear_denominators(general)
+        assert factors is None and [RatFunc(n, common) for n in nums] == general
 
 
 def test_solve_identity():

@@ -325,8 +325,8 @@ def _reference_class_targets(ens, coefficients, classes):
 def test_class_targets_of_general_weight(ens, monomial, monkeypatch):
     # a hand-made weight whose common denominator has a factor N^2 + 1 that
     # does not split over the integers, a zero coefficient and invariants
-    # of sizes 0-3, against the sum of reduced trace moments a_p <I_p p_lam>;
-    # a key that is not a partition is refused
+    # of sizes 0-3, against the sum of reduced trace moments a_p <I_p p_lam>,
+    # through poly_gcd; a key that is not a partition is refused
     from wickweights import wick
     from wickweights.combinatorics import partitions_of
 
@@ -335,6 +335,9 @@ def test_class_targets_of_general_weight(ens, monomial, monkeypatch):
     alpha = 2 if ens is Ensemble.ORTHOGONAL else 1
     for k in range(1, 5):
         targets = _reference_class_targets(ens, coefficients, list(partitions_of(k)))
+        # N^2 + 1 is no known linear factor, so these reduce by the general path
+        got = wick._class_targets(ens, coefficients, list(partitions_of(k)))
+        assert got == targets and all(t.factors is None for t in got), k
         assert wick.gram_class_coefficients(ens, coefficients, k) == wick._class_solve(k, alpha, targets, (0,)), k
     slots = MonomialSpec.parse(monomial).slots
     got = wick.entry_moment(ens, coefficients, slots)

@@ -144,7 +144,7 @@ def _recompute_weight_fixture(name: str) -> list[tuple[str, int]]:
     """Solve every table of tests/data/<name> from nothing and compare with ==."""
     from wickweights import wick
 
-    assert {wick._jack_table, wick._binomials, wick._down, wick._fillings} <= clear_engine_memos()
+    assert {wick._jack_table, wick._binomials, wick._down, wick._fillings, wick._ell} <= clear_engine_memos()
     entries = json.loads((DATA / name).read_text())
     for e in entries:
         want = weight_from_json(e)
@@ -163,6 +163,26 @@ def test_weight_k5_k6_fixture_recomputed():
     assert _recompute_weight_fixture("weights_k5_k6.json") == [
         (ens.value, kappa) for kappa in (5, 6) for ens in ENSEMBLES
     ]
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_kernel_and_checks_take_no_gcd(ens, monkeypatch):
+    # every denominator that the kernel, the defining conditions and the error order
+    # form is a constant times known factors N + r, so no reduction reaches poly_gcd
+    from wickweights import algebra
+    from wickweights.integrate import error_order
+
+    def refuse(a, b):
+        raise AssertionError(f"poly_gcd({a}, {b}) reached")
+
+    monkeypatch.setattr(algebra, "poly_gcd", refuse)
+    for kappa in range(1, 9):
+        w = solve_weight(ens, kappa)
+        if kappa <= 6:
+            assert all(verify_conditions(w, k).ok for k in range(1, kappa + 1)), kappa
+            assert error_order(w, kappa + 1) >= kappa // 2 + 1, kappa
+    with pytest.raises(AssertionError, match="reached"):
+        RatFunc(N, N * N + 1)
 
 
 def _leading_minors_positive(matrix, n_value: int) -> bool:

@@ -309,13 +309,28 @@ def test_binomials_match_fraction_reference(alpha):
         assert [_binomials(theta, alpha) for theta in partitions_of(k)] == reference_binomials(k, alpha), k
 
 
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_kernel_weight_same_cold_and_after_smaller_kappa(ens):
+    # _ell keeps ell_theta across kappa: kappa = 4 formed from nothing equals kappa = 4
+    # formed after kappa = 1..3 filled the memo
+    from wickweights import wick
+
+    assert wick._ell in clear_engine_memos()
+    cold = wick.kernel_weight(ens, 4)
+    clear_engine_memos()
+    for kappa in range(1, 4):
+        wick.kernel_weight(ens, kappa)
+    assert wick._ell.cache_info().currsize
+    assert wick.kernel_weight(ens, 4) == cold
+
+
 @pytest.mark.parametrize("shift", [0, 1])
 @pytest.mark.parametrize("offsets", [(), (3,), (0, 0, 0), (-2, 1, -2, 4), (-1, -3, 0, 2, 2)])
 def test_boxes_is_the_product_of_linear_factors(offsets, shift):
-    from wickweights.wick import _boxes
+    from wickweights.algebra import linear_product
 
-    assert _boxes(offsets, shift) == math.prod((Poly((shift + x, 1)) for x in offsets), start=Poly((1,)))
-    assert _boxes(iter(offsets), shift) == _boxes(offsets, shift)
+    assert linear_product(offsets, shift) == math.prod((Poly((shift + x, 1)) for x in offsets), start=Poly((1,)))
+    assert linear_product(iter(offsets), shift) == linear_product(offsets, shift)
 
 
 def test_coe_degree_12_literal():
