@@ -22,12 +22,14 @@ Every operation is exact; nothing in this module touches floating point.
 Nearly every denominator the engine forms is a constant times linear
 factors N + r that it knows before forming it.  ``RatFunc.factored``
 reduces such a ratio by trial division at each root -r and one integer
-content, and the result keeps its factors, so that ``clear_denominators``
-takes the least common multiple as the larger exponent per r.  Any other
-ratio, like a hand-made coefficient over N^2 + 1, and every product or
-quotient of two ``RatFunc``s, is reduced by ``poly_gcd``: Euclid modulo
-61-bit primes, the images joined by the Chinese remainder theorem and a
-lift returned only once it divides both arguments exactly.
+content, with no gcd, and the result keeps its factors, so that
+``clear_denominators`` takes the least common multiple as the larger
+exponent per r.  Adding a polynomial to a ``RatFunc`` needs no reduction.
+Every other ratio is reduced by ``poly_gcd``: a denominator that does not
+split, like a hand-made coefficient over N^2 + 1, and the sum, product or
+quotient of two ``RatFunc``s.  It runs Euclid modulo 61-bit primes, joins
+the images by the Chinese remainder theorem and returns a lift only once
+it divides both arguments exactly.
 """
 
 from __future__ import annotations
