@@ -615,8 +615,9 @@ def _expansion(counts: dict[tuple, int], labels: Sequence, coeffs: Sequence[RatF
         structure, power = res
         powers.setdefault(structure, Counter())[c, power] += n
     # most structures share their counts
-    value = functools.cache(lambda terms: linear_combination((n, coeffs[c] * RatFunc.n_power(power))
-                                                             for (c, power), n in terms))
+    value = functools.cache(lambda terms: linear_combination(
+        (n, RatFunc.factored(coeffs[c].num * Poly.n_power(power), coeffs[c].den, coeffs[c].factors))
+        for (c, power), n in terms))
     return DeltaExpansion({structure: value(tuple(sorted(terms.items()))) for structure, terms in powers.items()})
 
 
