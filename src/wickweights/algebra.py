@@ -322,11 +322,8 @@ class RatFunc:
         den = _as_poly(den)
         if not den:
             raise ZeroDivisionError("division by zero polynomial")
-        if den.degree == 0:
+        if den.degree == 0 or not num:  # a constant is the empty product of linear factors
             self._reduce(num, den.lc, _NO_FACTORS)
-            return
-        if not num:
-            self.num, self.den, self.factors = _ZERO, _ONE, _NO_FACTORS
             return
         g = poly_gcd(num, den)
         if g != _ONE:
@@ -374,11 +371,10 @@ class RatFunc:
         coprime pair with positive leading coefficient that RatFunc(num, den) gives, with no gcd.
         Unknown factors leave the reduction to RatFunc and poly_gcd.
         """
-        more = Counter(more)
         if factors is None:
-            return RatFunc(num, den * linear_product(more.elements()))
+            return RatFunc(num, den * linear_product(more))
         out = object.__new__(RatFunc)
-        out._reduce(num, den.lc, factors + more)
+        out._reduce(num, den.lc, factors + Counter(more))
         return out
 
     # -- queries -----------------------------------------------------------------

@@ -27,9 +27,9 @@ from .weights import solve_weight, verify_conditions
 from .wick import Ensemble, MonomialSpec, gaussian_trace_moment
 
 #: The largest kappa each command runs without a warning: above it a cold run in the slowest ensemble, the COE,
-#: passes about 10 s on two cores.  `weights` takes 4.6 s at 14 and 11 s at 15, and `verify` 5.0 s at 9 and 11 s
-#: at 10.  `integrate` solves the same weight as `weights`.
-_COST_WARNING_KAPPA = {"weights": 14, "integrate": 14, "verify": 9}
+#: passes about 10 s on two cores.  `weights` takes 4.2-5.6 s at 14, 8.1 s at 15 and 15 s at 16, and `verify`
+#: 5.8-6.3 s at 10 and 12.5 s at 11.  `integrate` solves the same weight as `weights`.
+_COST_WARNING_KAPPA = {"weights": 14, "integrate": 14, "verify": 10}
 #: The most factors of a monomial `integrate` takes without a warning: at 14 it enumerates 135135 index
 #: structures, in 2.2 s and 97 MB in the COE, and at 16 15 times as many.
 _COST_WARNING_FACTORS = 14

@@ -64,7 +64,7 @@ def test_cost_warning_per_command(capsys, monkeypatch):
         raise ValueError("not solved")
 
     monkeypatch.setattr(cli, "solve_weight", refuse)
-    for command, quiet in (("weights", 14), ("integrate", 14), ("verify", 9)):
+    for command, quiet in (("weights", 14), ("integrate", 14), ("verify", 10)):
         extra = ("--monomial", "M[1,1] Mc[1,1]") if command == "integrate" else ()
         for kappa in (quiet, quiet + 1):
             code, _, err = run(capsys, command, "--ensemble", "coe", "--kappa", str(kappa), *extra)
