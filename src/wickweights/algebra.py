@@ -19,17 +19,15 @@ Two value types live here:
     compared with ``==`` instead of ad-hoc simplification.
 
 Every operation is exact; nothing in this module touches floating point.
-Nearly every denominator the engine forms is a constant times linear
-factors N + r that it knows before forming it.  ``RatFunc.factored``
-reduces such a ratio by trial division at each root -r and one integer
-content, with no gcd, and the result keeps its factors, so that
-``clear_denominators`` takes the least common multiple as the larger
-exponent per r.  Adding a polynomial to a ``RatFunc`` needs no reduction.
-Every other ratio is reduced by ``poly_gcd``: a denominator that does not
-split, like a hand-made coefficient over N^2 + 1, and the sum, product or
-quotient of two ``RatFunc``s.  It runs Euclid modulo 61-bit primes, joins
-the images by the Chinese remainder theorem and returns a lift only once
-it divides both arguments exactly.
+Every ratio is reduced one way.  A ``RatFunc`` keeps the linear factors
+N + r known to divide its denominator, and sums, products and quotients
+pass them on; nearly every denominator the engine forms is a constant
+times such factors.  The numerator is divided by N + r while -r is a root
+of it, and one integer content ends the reduction; ``poly_gcd`` is
+reached only by a cofactor of positive degree left beside those factors,
+like a hand-made coefficient over N^2 + 1.  It runs Euclid modulo 61-bit
+primes, joins the images by the Chinese remainder theorem and returns a
+lift only once it divides both arguments exactly.
 """
 
 from __future__ import annotations
@@ -104,17 +102,17 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = Poly.const(other)
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant equals its int, so it hashes as one
+        return hash(self.coeffs) if self.degree > 0 else hash(self.lc)
 
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     # -- ring arithmetic ---------------------------------------------------------
 
@@ -122,7 +120,9 @@ class Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, int):
+        if not isinstance(other, Poly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = Poly.const(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -133,12 +133,12 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, int):
-            other = Poly.const(other)
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, int):
+        if not isinstance(other, Poly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = Poly.const(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -233,7 +233,7 @@ N = Poly((0, 1))
 
 _ZERO = Poly()
 _ONE = Poly((1,))
-#: The factors of a constant denominator; shared, so never mutated.
+#: No known factors; shared, so never mutated.
 _NO_FACTORS: Counter = Counter()
 
 
@@ -244,7 +244,6 @@ def linear_product(roots: Iterable[int], shift: int = 0) -> Poly:
     for r in roots:
         coeffs = [(shift + r) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return Poly(coeffs)
-
 
 
 def _primitive(a: Poly) -> Poly:
@@ -300,59 +299,67 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, int):
-        return Poly.const(x)
-    raise TypeError(f"cannot interpret {x!r} as a polynomial in N")
+    return x if isinstance(x, Poly) else Poly.const(x)  # Poly.const refuses what is not an int
+
+
+def _cofactor(den: Poly, factors: Counter) -> Poly:
+    """den over the product of the linear factors {r: e} known to divide it."""
+    if den.degree == factors.total():
+        return Poly.const(den.lc)
+    return den.divexact(linear_product(factors.elements())) if factors else den
 
 
 class RatFunc:
     """Reduced ratio of two integer polynomials in N.  Immutable.
 
-    factors holds the linear factors {r: e} of den = den.lc prod (N + r)^e
-    when they are known, empty for a constant den, and None otherwise.
-    == and hash ignore it.
+    factors holds linear factors {r: e} known to divide den, so that den is
+    prod (N + r)^e times a cofactor: a constant when den splits over them,
+    a polynomial with no factor known otherwise.  == and hash ignore it.
     """
 
     __slots__ = ("num", "den", "factors")
 
-    def __init__(self, num=0, den=1):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if not den:
-            raise ZeroDivisionError("division by zero polynomial")
-        if den.degree == 0 or not num:  # a constant is the empty product of linear factors
-            self._reduce(num, den.lc, _NO_FACTORS)
-            return
-        g = poly_gcd(num, den)
-        if g != _ONE:
-            num, den = num.divexact(g), den.divexact(g)
-        c = gcd(num.content(), den.content()) * (1 if den.lc > 0 else -1)
-        if c != 1:
-            num, den = (Poly(x // c for x in f.coeffs) for f in (num, den))
-        self.num, self.den, self.factors = num, den, None if den.degree else _NO_FACTORS
+    def __new__(cls, num=0, den=1):
+        return RatFunc._over(_as_poly(num), _as_poly(den), _NO_FACTORS)
 
-    def _reduce(self, num: Poly, scale: int, factors: Counter) -> None:
-        """Set self to num / (scale prod (N + r)^e) over the factors {r: e}, reduced (see factored)."""
+    @staticmethod
+    def _over(num: Poly, cof: Poly, factors: Counter) -> "RatFunc":
+        """num / (cof prod (N + r)^e) over the factors {r: e}, in lowest terms.
+
+        poly_gcd takes what num shares with cof, only when cof has positive degree.  Every other
+        common factor is one of the N + r, so num is then divided by N + r while -r is a root
+        of it (Horner), at most e times, and one integer content, signed by cof, leaves the
+        coprime pair with a positive leading coefficient.
+        """
+        if not cof:
+            raise ZeroDivisionError("division by zero polynomial")
+        out = object.__new__(RatFunc)
         if not num:
-            self.num, self.den, self.factors = _ZERO, _ONE, _NO_FACTORS
-            return
-        coeffs, left = list(num.coeffs), Counter()
-        for r, e in factors.items():
-            while e:  # Horner at N = -r: the quotient by N + r, descending, then the remainder
-                q = [coeffs[-1]]
-                for c in coeffs[-2::-1]:
-                    q.append(c - r * q[-1])
-                if q.pop():
-                    break
-                coeffs, e = q[::-1], e - 1
-            if e:
-                left[r] = e
-        c = gcd(*coeffs, scale) * (1 if scale > 0 else -1)
+            out.num, out.den, out.factors = _ZERO, _ONE, _NO_FACTORS
+            return out
+        if cof.degree > 0:
+            g = poly_gcd(num, cof)
+            if g != _ONE:
+                num, cof = num.divexact(g), cof.divexact(g)
+        coeffs, left = num.coeffs, _NO_FACTORS
+        if factors:
+            coeffs, left = list(coeffs), Counter()
+            for r, e in factors.items():
+                while e:  # Horner at N = -r: the quotient by N + r, descending, then the remainder
+                    q = [coeffs[-1]]
+                    for c in coeffs[-2::-1]:
+                        q.append(c - r * q[-1])
+                    if q.pop():
+                        break
+                    coeffs, e = q[::-1], e - 1
+                if e:
+                    left[r] = e
+        c = gcd(*coeffs, *cof.coeffs) * (1 if cof.lc > 0 else -1)
         if c != 1:
-            coeffs = [x // c for x in coeffs]
-        self.num, self.den, self.factors = Poly(coeffs), linear_product(left.elements()) * (scale // c), left
+            coeffs, cof = [x // c for x in coeffs], Poly([x // c for x in cof.coeffs])
+        out.num = Poly(coeffs) if factors or c != 1 else num
+        out.den, out.factors = linear_product(left.elements()) * cof if left else cof, left
+        return out
 
     # -- constructors ------------------------------------------------------------
 
@@ -362,20 +369,10 @@ class RatFunc:
         return RatFunc(Poly.n_power(k))
 
     @staticmethod
-    def factored(num: Poly, den: Poly, factors: Counter | None, more: Iterable[int] = ()) -> "RatFunc":
-        """num / (den prod over the roots r in more of (N + r)), where den = den.lc prod (N + r)^e
-        over its factors {r: e}, or factors is None when they are not known.
-
-        Every irreducible factor of a known denominator is one of its N + r.  So dividing num by
-        N + r while -r is a root of it (Horner), then both by their integer content, leaves the
-        coprime pair with positive leading coefficient that RatFunc(num, den) gives, with no gcd.
-        Unknown factors leave the reduction to RatFunc and poly_gcd.
-        """
-        if factors is None:
-            return RatFunc(num, den * linear_product(more))
-        out = object.__new__(RatFunc)
-        out._reduce(num, den.lc, factors + Counter(more))
-        return out
+    def factored(num: Poly, den: Poly, factors: Counter, more: Iterable[int] = ()) -> "RatFunc":
+        """num / (den prod over the roots r in more of (N + r)), for linear factors {r: e} known
+        to divide den.  When they are all of den's factors, the reduction takes no gcd."""
+        return RatFunc._over(num, _cofactor(den, factors), factors + Counter(more))
 
     # -- queries -----------------------------------------------------------------
 
@@ -388,7 +385,8 @@ class RatFunc:
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # a ratio over 1 equals its numerator, so it hashes as one
+        return hash(self.num) if self.den == _ONE else hash((self.num, self.den))
 
     def order(self) -> int | None:
         """Decay exponent beta with self = Theta(N^-beta); None for the zero function."""
@@ -398,44 +396,38 @@ class RatFunc:
 
     # -- field arithmetic -----------------------------------------------------------
 
-    def _over_den(self, num: Poly) -> "RatFunc":
-        """num / den for num = +-self.num + p den with p a polynomial, built without a gcd.  It
-        is already reduced: a polynomial or an integer that divides den and num divides
-        self.num too, and den keeps its sign."""
-        out = object.__new__(RatFunc)
-        out.num, out.den, out.factors = num, self.den, self.factors
-        return out
+    def _over_both(self, other: "RatFunc", num: Poly) -> "RatFunc":
+        """num over the product of both denominators, which both factor maps are known to divide."""
+        return RatFunc._over(num, _cofactor(self.den, self.factors) * _cofactor(other.den, other.factors),
+                             self.factors + other.factors)
 
     def __neg__(self) -> "RatFunc":
-        return self._over_den(-self.num)
+        return RatFunc._over(-self.num, _cofactor(self.den, self.factors), self.factors)
 
     def __add__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Poly)):
-            return self._over_den(self.num + other * self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        other = other if isinstance(other, RatFunc) else RatFunc(other)
+        return self._over_both(other, self.num * other.den + other.num * self.den)
 
     def __sub__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Poly)):
-            return self._over_den(self.num - other * self.den)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        other = other if isinstance(other, RatFunc) else RatFunc(other)
+        return self._over_both(other, self.num * other.den - other.num * self.den)
 
     def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Poly)):
-            other = RatFunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        other = other if isinstance(other, RatFunc) else RatFunc(other)
+        return self._over_both(other, self.num * other.num)
 
     def __truediv__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Poly)):
-            other = RatFunc(other)
+        other = other if isinstance(other, RatFunc) else RatFunc(other)
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        # only the dividend's factors are known to divide self.den * other.num
+        return RatFunc._over(self.num * other.den, _cofactor(self.den, self.factors) * other.num, self.factors)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other) -> "RatFunc":
-        return self._over_den(_as_poly(other) * self.den - self.num)
+        return RatFunc(other) - self
 
     def __rtruediv__(self, other) -> "RatFunc":
         return RatFunc(other) / self
@@ -470,23 +462,22 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly], Counter | None]:
-    """A common multiple of the denominators of fs, each numerator over it, and its factors
-    {r: e} when those of every denominator are known, None otherwise.  Known factors give the
-    least common multiple, the larger exponent per r, and each cofactor as the product of the
-    factors its denominator lacks, with no gcd."""
-    if all(f.factors is not None for f in fs):
-        top: Counter = Counter()
-        for f in fs:
-            top |= f.factors
-        scale = lcm(*(f.den.lc for f in fs))
-        return (linear_product(top.elements()) * scale,
-                [f.num * (linear_product((top - f.factors).elements()) * (scale // f.den.lc)) for f in fs], top)
+def clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly], Counter]:
+    """A common denominator of fs, each numerator over it, and the linear factors {r: e} known
+    to divide it.  It is the larger exponent per known r times the lcm of the cofactors beside
+    them: of their integer contents, and by poly_gcd of their primitive parts of positive
+    degree.  That is the least common multiple unless a cofactor holds a known N + r.  Each
+    distinct denominator is split, and its numerators' multiplier formed, once."""
+    top: Counter = Counter()
+    for f in fs:
+        top |= f.factors
+    split = {f.den: (f.factors, _cofactor(f.den, f.factors)) for f in fs}
     common = _ONE
-    for d in dict.fromkeys(f.den for f in fs):
-        if d != _ONE:
-            common = common * d.divexact(poly_gcd(common, d))
-    return common, [f.num * common.divexact(f.den) for f in fs], None
+    for c in dict.fromkeys(_primitive(c) for _, c in split.values() if c.degree > 0):
+        common = c if common == _ONE else common * c.divexact(poly_gcd(common, c))
+    common = common * lcm(*(c.content() for _, c in split.values()))
+    over = {den: linear_product((top - known).elements()) * common.divexact(c) for den, (known, c) in split.items()}
+    return linear_product(top.elements()) * common, [f.num * over[f.den] for f in fs], top
 
 
 def scaled_sum(terms: Iterable[tuple[int | Fraction, Poly]]) -> tuple[Poly, int]:

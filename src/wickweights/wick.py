@@ -64,7 +64,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import Poly, RatFunc, clear_denominators, linear_combination, linear_product, scaled_sum
+from .algebra import N, Poly, RatFunc, clear_denominators, linear_combination, linear_product, scaled_sum
 from .combinatorics import (
     DeltaStructure,
     Partition,
@@ -615,9 +615,7 @@ def _expansion(counts: dict[tuple, int], labels: Sequence, coeffs: Sequence[RatF
         structure, power = res
         powers.setdefault(structure, Counter())[c, power] += n
     # most structures share their counts
-    value = functools.cache(lambda terms: linear_combination(
-        (n, RatFunc.factored(coeffs[c].num * Poly.n_power(power), coeffs[c].den, coeffs[c].factors))
-        for (c, power), n in terms))
+    value = functools.cache(lambda terms: linear_combination((n, coeffs[c] * N ** power) for (c, power), n in terms))
     return DeltaExpansion({structure: value(tuple(sorted(terms.items()))) for structure, terms in powers.items()})
 
 

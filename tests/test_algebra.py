@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import pathlib
@@ -198,6 +199,26 @@ def _split(rng, roots=range(-6, 7)):
     return Counter(rng.choice(roots) for _ in range(rng.randint(0, 6)))
 
 
+def _rand_split(rng, cofactor=ONE):
+    """num / (scale prod (N + r)^e cofactor) with its linear factors {r: e} known; num shares
+    some of them."""
+    factors = _split(rng)
+    num = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))])
+    num = num * linear_product(rng.sample(list(factors.elements()), rng.randint(0, factors.total())))
+    den = linear_product(factors.elements()) * rng.choice((1, 2, -3, 6, 2**70)) * cofactor
+    return RatFunc.factored(num, den, factors)
+
+
+def _same(got, want):
+    assert got == want and (got.num, got.den) == (want.num, want.den)
+    assert hash(got) == hash(want) and str(got) == str(want) and got.to_json() == want.to_json()
+
+
+def _cofactor_degree(f):
+    """Degree of f's denominator over its known factors, which must divide it."""
+    return f.den.divexact(linear_product(f.factors.elements())).degree
+
+
 def test_factored_matches_general_random():
     # num / (scale prod (N + r)^e) reduced by trial division at the known roots is the
     # general path's canonical pair, with the same hash, str and JSON; num shares
@@ -211,38 +232,108 @@ def test_factored_matches_general_random():
         if trial % 10 == 0:
             num = Poly()
         den = linear_product(factors.elements()) * scale
-        got, want = RatFunc.factored(num, den, factors), RatFunc(num, den)
-        assert got == want and (got.num, got.den) == (want.num, want.den)
-        assert hash(got) == hash(want) and str(got) == str(want) and got.to_json() == want.to_json()
+        got = RatFunc.factored(num, den, factors)
+        _same(got, RatFunc(num, den))
         assert got.den == linear_product(got.factors.elements()) * got.den.lc
         more = list(_split(rng).elements())
         assert RatFunc.factored(num, den, factors, more) == RatFunc(num, den * linear_product(more))
-        assert RatFunc.factored(num, den, None, more) == RatFunc(num, den * linear_product(more))
+        assert RatFunc.factored(num, den, Counter(), more) == RatFunc(num, den * linear_product(more))
+
+
+@pytest.mark.parametrize("value", [0, 3, -2, N, N + 1], ids=["0", "3", "-2", "N", "N+1"])
+def test_hash_agrees_with_eq(value):
+    # a constant Poly or RatFunc equals its int and a RatFunc over 1 its numerator, so they
+    # hash alike and find each other in sets
+    f = RatFunc(value)
+    assert f == value and hash(f) == hash(value) and value in {f} and f in {value}
+    if isinstance(value, int):
+        p = Poly.const(value)
+        assert p == value and hash(p) == hash(value) and value in {p} and p in {value}
+        assert p == f and hash(p) == hash(f)
+
+
+def test_poly_defers_to_ratfunc():
+    # Poly arithmetic and == return NotImplemented for what is neither an int nor a Poly,
+    # so RatFunc's reflected methods run
+    p, f = 2 * N + 1, RatFunc(1, N)
+    assert p + f == RatFunc(2 * N * N + N + 1, N) == f + p
+    assert p - f == RatFunc(2 * N * N + N - 1, N) == -(f - p)
+    assert p * f == RatFunc(2 * N + 1, N) == f * p
+    assert Poly((1,)) == RatFunc(1) and RatFunc(1) == Poly((1,)) and N != RatFunc(1, N)
+    for op in (Poly.__add__, Poly.__mul__, Poly.__eq__):
+        assert op(p, f) is NotImplemented and op(p, "N") is NotImplemented
+    with pytest.raises(TypeError):
+        p + "N"
 
 
 def test_plus_poly_matches_general_random():
-    # f + p, f - p, p - f and -f are formed over f.den with no gcd; they equal the
-    # general reduction of the same pair, for split and for unsplit denominators
+    # f + p, f - p, p - f and -f equal the reduction from scratch of the same pair, for
+    # split and for unsplit denominators, and keep f's known factors: split stays split
     rng = random.Random(27)
     for trial in range(300):
         factors = _split(rng)
         den = linear_product(factors.elements()) * rng.choice((1, 3, -2))
         if trial % 3 == 0:
             den = den * (N * N + 1)
-        f = RatFunc(Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]), den)
+        f = RatFunc.factored(Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]), den, factors)
         p = rng.choice((0, 1, -1, 7, Poly([rng.randint(-3, 3) for _ in range(3)])))
-        cases = [(f + p, f.num + p * f.den), (f - p, f.num - p * f.den), (-f, -f.num)]
-        if isinstance(p, int):  # Poly + RatFunc is not defined
-            cases += [(p + f, f.num + p * f.den), (p - f, p * f.den - f.num)]
+        cases = [(f + p, f.num + p * f.den), (f - p, f.num - p * f.den), (-f, -f.num),
+                 (p + f, f.num + p * f.den), (p - f, p * f.den - f.num)]
         for got, num in cases:
-            want = RatFunc(num, f.den)
-            assert got == want and (got.num, got.den) == (want.num, want.den) and hash(got) == hash(want)
-            assert (got.factors is None) == (f.factors is None)
+            _same(got, RatFunc(num, f.den))
+            assert (_cofactor_degree(got) == 0) == (_cofactor_degree(f) == 0)
+
+
+def test_arithmetic_matches_general_random(monkeypatch):
+    # sums, differences, products and quotients of split ratios, and of split ones times
+    # N^2 + 1, are the reduction from scratch of the same pair; a sum, difference or
+    # product of two split ratios reaches no gcd and keeps its known factors
+    calls = []
+    gcd = algebra.poly_gcd
+    monkeypatch.setattr(algebra, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    rng = random.Random(29)
+    for trial in range(300):
+        f, g = (_rand_split(rng, N * N + 1 if trial % 4 == i else ONE) for i in (1, 2))
+        calls.clear()
+        ring = [(f + g, f.num * g.den + g.num * f.den), (f - g, f.num * g.den - g.num * f.den), (f * g, f.num * g.num)]
+        assert not calls or trial % 4 in (1, 2)
+        for got, num in ring:
+            _same(got, RatFunc(num, f.den * g.den))
+            assert _cofactor_degree(got) == 0 or trial % 4 in (1, 2)
+        if g:
+            got = f / g
+            _same(got, RatFunc(f.num * g.den, f.den * g.num))
+            assert _cofactor_degree(got) >= 0
+
+
+def test_factored_with_some_factors_known():
+    # only some of the linear factors known, beside the rest and a cofactor N^2 + 1 that
+    # does not split: the same pair as the reduction from scratch, over known factors
+    rng = random.Random(30)
+    for trial in range(300):
+        factors, content = _split(rng), rng.choice((1, 2, -6))
+        den = linear_product(factors.elements()) * content * (N * N + 1 if trial % 2 else ONE)
+        num = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]) * content
+        num = num * linear_product(rng.sample(list(factors.elements()), rng.randint(0, factors.total())))
+        known = Counter(rng.sample(list(factors.elements()), rng.randint(0, factors.total())))
+        got = RatFunc.factored(num, den, known)
+        _same(got, RatFunc(num, den))
+        assert not got.factors - known
+        assert _cofactor_degree(got) >= 0
+
+
+def _is_lcm(common, dens):
+    """Whether common is a least common multiple of dens: each divides it, and their quotients
+    share no polynomial factor and no integer content."""
+    quotients = [common.divexact(d) for d in dens]
+    return (common.lc > 0 and math.gcd(*(c for q in quotients for c in q.coeffs)) == 1
+            and functools.reduce(prs_gcd, quotients) == ONE)
 
 
 def test_clear_denominators_over_known_factors():
-    # the factored path's common denominator is the least common multiple, the larger
-    # exponent per root times the lcm of the constants, and each numerator is over it
+    # the common denominator is the least common multiple: over known factors the larger
+    # exponent per root times the lcm of the constants, and each numerator is over it;
+    # beside a cofactor N^2 + 1 the lcm of the contents and of the primitive cofactors
     rng = random.Random(28)
     for _ in range(100):
         fs = [RatFunc.factored(Poly([rng.randint(-5, 5) for _ in range(3)]),
@@ -254,10 +345,20 @@ def test_clear_denominators_over_known_factors():
             want |= f.factors
         assert factors == want
         assert common == linear_product(want.elements()) * math.lcm(*(f.den.lc for f in fs))
-        assert [RatFunc(n, common) for n in nums] == fs
-        general = [RatFunc(f.num, f.den * (N * N + 1)) for f in fs]
-        common, nums, factors = clear_denominators(general)
-        assert factors is None and [RatFunc(n, common) for n in nums] == general
+        assert [RatFunc(n, common) for n in nums] == fs and _is_lcm(common, [f.den for f in fs])
+        for known in (Counter(), want):
+            general = [RatFunc.factored(f.num, f.den * (N * N + 1), f.factors & known) for f in fs]
+            common, nums, factors = clear_denominators(general)
+            assert factors == known and _is_lcm(common, [g.den for g in general])
+            assert [RatFunc(n, common) for n in nums] == general
+
+
+@pytest.mark.parametrize("known", [Counter(), Counter({0: 1})])
+def test_clear_denominators_takes_the_lcm_of_contents(known):
+    # 6 (N^2 + 1) and 4 N (N^2 + 1): contents 6 and 4 give 12, not their product 24
+    fs = [RatFunc(1, 6 * (N * N + 1)), RatFunc.factored(ONE, 4 * N * (N * N + 1), known)]
+    common, nums, factors = clear_denominators(fs)
+    assert common == 12 * N * (N * N + 1) and nums == [2 * N, Poly((3,))] and factors == known
 
 
 def test_solve_identity():

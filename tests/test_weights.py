@@ -167,11 +167,12 @@ def test_weight_k5_k6_fixture_recomputed():
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
 def test_kernel_and_checks_take_no_gcd(ens, monkeypatch):
-    # every denominator that the kernel, the defining conditions, the error order and
-    # an entry moment form is a constant times known factors N + r, so no reduction
-    # reaches poly_gcd
+    # every denominator that the kernel, the defining conditions, the error order, an
+    # entry moment and the connected parts form is a constant times known factors N + r,
+    # so no reduction reaches poly_gcd
     from wickweights import MonomialSpec, algebra
-    from wickweights.integrate import error_order, integrate_monomial
+    from wickweights.integrate import error_order, integrate_monomial, weighted_connected_order
+    from wickweights.wick import connected_entry_moment
 
     def refuse(a, b):
         raise AssertionError(f"poly_gcd({a}, {b}) reached")
@@ -182,6 +183,10 @@ def test_kernel_and_checks_take_no_gcd(ens, monkeypatch):
         if kappa <= 6:
             assert all(verify_conditions(w, k).ok for k in range(1, kappa + 1)), kappa
             assert error_order(w, kappa + 1) >= kappa // 2 + 1, kappa
+            orders = [weighted_connected_order(w, k) for k in range(1, kappa + 1)]
+            assert orders[0] is None and all(b >= (k + 1) // 2 for k, b in enumerate(orders[1:], 2)), kappa
+    for k in range(1, 7):
+        assert connected_entry_moment(ens, k), k
     monomial = "M[1,1] M[1,1] M[i,j] M[k,l]" if ens is Ensemble.ORTHOGONAL else "M[1,1] Mc[1,1] M[i,j] Mc[k,l]"
     assert integrate_monomial(solve_weight(ens, 3), MonomialSpec.parse(monomial))
     with pytest.raises(AssertionError, match="reached"):
