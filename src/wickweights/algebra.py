@@ -71,19 +71,6 @@ class Poly:
         # index() refuses a Fraction or a float instead of truncating it
         self.coeffs = tuple(_trim([index(c) for c in coeffs]))
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def const(c: int) -> "Poly":
-        return Poly((c,))
-
-    @staticmethod
-    def n_power(k: int) -> "Poly":
-        """The monomial N^k, k >= 0."""
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        return Poly((0,) * k + (1,))
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -101,7 +88,7 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = Poly.const(other)
+            other = Poly((other,))
         elif not isinstance(other, Poly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -123,7 +110,7 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, int):
                 return NotImplemented
-            other = Poly.const(other)
+            other = Poly((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -139,7 +126,7 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, int):
                 return NotImplemented
-            other = Poly.const(other)
+            other = Poly((other,))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
@@ -154,12 +141,12 @@ class Poly:
     __rmul__ = __mul__
 
     def __rsub__(self, other) -> "Poly":
-        return Poly.const(other) - self
+        return Poly((other,)) - self
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.const(1)
+        out = _ONE
         base = self
         while k:
             if k & 1:
@@ -299,13 +286,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _as_poly(x) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(x)  # Poly.const refuses what is not an int
+    return x if isinstance(x, Poly) else Poly((x,))  # index() refuses what is not an int
 
 
 def _cofactor(den: Poly, factors: Counter) -> Poly:
     """den over the product of the linear factors {r: e} known to divide it."""
     if den.degree == factors.total():
-        return Poly.const(den.lc)
+        return Poly((den.lc,))
     return den.divexact(linear_product(factors.elements())) if factors else den
 
 
@@ -362,11 +349,6 @@ class RatFunc:
         return out
 
     # -- constructors ------------------------------------------------------------
-
-    @staticmethod
-    def n_power(k: int) -> "RatFunc":
-        """N^k, k >= 0."""
-        return RatFunc(Poly.n_power(k))
 
     @staticmethod
     def factored(num: Poly, den: Poly, factors: Counter, more: Iterable[int] = ()) -> "RatFunc":

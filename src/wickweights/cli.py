@@ -177,21 +177,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Wick-contraction integration over O(N), U(N) and the COE.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--ensemble", type=_ensemble, required=True)
 
-    p = sub.add_parser("weights", help="coefficient table of a weight function")
-    p.add_argument("--ensemble", type=_ensemble, required=True)
+    p = sub.add_parser("weights", parents=[common], help="coefficient table of a weight function")
     p.add_argument("--kappa", type=_positive_int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_weights)
 
-    p = sub.add_parser("moment", help="Gaussian average of trace invariants")
-    p.add_argument("--ensemble", type=_ensemble, required=True)
+    p = sub.add_parser("moment", parents=[common], help="Gaussian average of trace invariants")
     p.add_argument("--invariants", type=_parse_invariants, required=True,
                    help="partitions like '2' or '2,1|1' (| separates factors)")
     p.set_defaults(func=_cmd_moment)
 
-    p = sub.add_parser("integrate", help="weighted integral of an entry monomial")
-    p.add_argument("--ensemble", type=_ensemble, required=True)
+    p = sub.add_parser("integrate", parents=[common], help="weighted integral of an entry monomial")
     p.add_argument("--kappa", type=_positive_int, required=True)
     p.add_argument("--monomial", required=True,
                    help="factors M[i,j] / Mc[i,j]; indices are integers or identifiers")
@@ -199,13 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_integrate)
 
-    p = sub.add_parser("verify", help="check defining conditions and the next error order")
-    p.add_argument("--ensemble", type=_ensemble, required=True)
+    p = sub.add_parser("verify", parents=[common], help="check defining conditions and the next error order")
     p.add_argument("--kappa", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sample", help="Monte Carlo estimate of a concrete monomial")
-    p.add_argument("--ensemble", type=_ensemble, required=True)
+    p = sub.add_parser("sample", parents=[common], help="Monte Carlo estimate of a concrete monomial")
     p.add_argument("--monomial", required=True)
     p.add_argument("--N", type=_positive_int, required=True, help="matrix dimension")
     p.add_argument("--samples", type=_int_at_least(10_000, " (10^4) for a usable error estimate"),

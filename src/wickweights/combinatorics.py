@@ -8,8 +8,8 @@ Conventions used throughout the package:
   descending parts: ``(), (1), (2), (1,1), (3), (2,1), (1,1,1), ...``.
   Gram rows, weight tables and JSON files all use this order.
 * A pairing of 2m slots is a perfect matching, yielded as m sorted index
-  pairs.  The engine enumerates matchings only to build its class systems
-  and delta structures, never the Wick pairings of a moment.
+  pairs.  The engine enumerates matchings only to write the delta
+  structures of its output, never the Wick pairings of a moment.
 * A delta pattern is a multiset of unordered label pairs.  Labels are either
   symbolic (strings) or concrete matrix indices (ints).  Contracting the
   summed labels turns each closed all-summed component into one factor N and
@@ -112,10 +112,6 @@ def structure_label(structure: DeltaStructure) -> str:
                    for labels, a in structure) or "1"
 
 
-def _label_sort_key(label: Label):
-    return (0, label) if isinstance(label, str) else (1, str(label))
-
-
 def contract_deltas(
     edges: Iterable[tuple[Label, Label]],
     summed: Iterable[Label],
@@ -161,7 +157,7 @@ def contract_deltas(
     power = 0
     blocks: list[Block] = []
     for members in comps.values():
-        frees = sorted((v for v in members if v not in summed and isinstance(v, str)), key=_label_sort_key)
+        frees = sorted(v for v in members if v not in summed and isinstance(v, str))
         concretes = {v for v in members if v not in summed and not isinstance(v, str)}
         if len(concretes) > 1:
             return None
@@ -170,5 +166,5 @@ def contract_deltas(
             power += 1
         elif len(frees) + (anchor is not None) >= 2:
             blocks.append((tuple(frees), anchor))
-    blocks.sort(key=lambda b: tuple(_label_sort_key(x) for x in b[0]) + ((),))
+    blocks.sort(key=lambda b: b[0])
     return tuple(blocks), power

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import RatFunc
+from .algebra import N, RatFunc
 from .combinatorics import Partition, enumerate_partitions, partition_label
 from .wick import (
     DeltaExpansion,
@@ -57,7 +57,7 @@ def build_gram_system(ensemble: Ensemble, kappa: int) -> GramSystem:
         tuple(gaussian_trace_moment(ensemble, (p1, p2)) for p2 in parts)
         for p1 in parts
     )
-    rhs = tuple(RatFunc.n_power(len(p)) for p in parts)
+    rhs = tuple(RatFunc(N ** len(p)) for p in parts)
     return GramSystem(ensemble, kappa, parts, matrix, rhs)
 
 

@@ -89,6 +89,16 @@ class Ensemble(str, enum.Enum):
         return self is not Ensemble.ORTHOGONAL
 
     @property
+    def alpha(self) -> int:
+        """alpha of the Laguerre ensemble of W = M M+ (James, 1964): 1 unitary, 2 orthogonal and COE."""
+        return 1 if self is Ensemble.UNITARY else 2
+
+    @property
+    def gram_alpha(self) -> int:
+        """alpha of the group that conjugates W, O(N) or U(N): 2 orthogonal, 1 unitary and COE."""
+        return 1 if self.complex_entries else 2
+
+    @property
     def pair_shift(self) -> int:
         """s of the pair denominator N + s: 1 for the COE, 0 otherwise."""
         return int(self is Ensemble.COE)
@@ -112,6 +122,11 @@ _SLOT_RE = re.compile(r"(Mc?)\[([A-Za-z_]\w*|\d+),([A-Za-z_]\w*|\d+)\]\Z")
 
 def _parse_index(tok: str):
     return int(tok) if tok.isdigit() else tok
+
+
+def _check_slots(ensemble: Ensemble, slots: Sequence[Slot]) -> None:
+    if not ensemble.complex_entries and any(s.conj for s in slots):
+        raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
 
 
 class _Monomial(NamedTuple):  # a NamedTuple cannot define __new__, its subclass can
@@ -140,8 +155,7 @@ class MonomialSpec(_Monomial):
         return MonomialSpec(tuple(slots))
 
     def validate(self, ensemble: Ensemble) -> None:
-        if not ensemble.complex_entries and any(s.conj for s in self.slots):
-            raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
+        _check_slots(ensemble, self.slots)
 
     def is_concrete(self) -> bool:
         return all(isinstance(s.row, int) and isinstance(s.col, int) for s in self.slots)
@@ -230,7 +244,7 @@ def _loop_numerator(ensemble: Ensemble, powers: tuple[int, ...]) -> tuple[int, .
     if not powers:
         return (1,)
     k, rest = powers[0], powers[1:]
-    c = 1 if ensemble is Ensemble.UNITARY else 2
+    c = ensemble.alpha
     t = {Ensemble.UNITARY: 0, Ensemble.ORTHOGONAL: k - 1, Ensemble.COE: k}[ensemble]
     terms = [(1, (j, k - 1 - j) + rest) for j in range(k)]
     terms.append((t, (k - 1,) + rest))
@@ -313,9 +327,10 @@ def _loop_lengths(mate: Sequence[int]) -> Partition:
 
 
 @functools.cache
-def _structures(orthogonal: bool, k: int) -> tuple[list[Partition], list[tuple[tuple, int]]]:
-    """The partitions of k, and (pairs, class index) for every structure on 2k labels."""
-    if orthogonal:
+def _structures(alpha: int, k: int) -> tuple[list[Partition], list[tuple[tuple, int]]]:
+    """The partitions of k, and (pairs, class index) for every structure on 2k labels: the perfect
+    matchings at alpha = 2, the permutations at alpha = 1 (see _class_solve)."""
+    if alpha == 2:
         pairings = perfect_matchings(2 * k)
     else:
         pairings = (tuple((2 * v, 2 * s + 1) for v, s in enumerate(sigma))
@@ -499,7 +514,7 @@ def kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    alpha, s = 1 if ensemble is Ensemble.UNITARY else 2, ensemble.pair_shift
+    alpha, s = ensemble.alpha, ensemble.pair_shift
     jacks = {theta: jack for k in range(kappa + 1) for theta, jack in zip(partitions_of(k), _jack_table(k, alpha)[1])}
     inner: dict[Partition, list] = {theta: [] for theta in jacks}  # sigma -> the terms of its sum over theta
     for theta in jacks:
@@ -548,7 +563,7 @@ def gram_class_coefficients(ensemble: Ensemble, coefficients: dict[Partition, Ra
     system A c = (sum_p a_p <I_p p_lam(W)>_g)_lam, solved by _class_solve.
     """
     targets = _class_targets(ensemble, coefficients, list(partitions_of(k)))
-    return _class_solve(k, 2 if ensemble is Ensemble.ORTHOGONAL else 1, targets, (0,))
+    return _class_solve(k, ensemble.gram_alpha, targets, (0,))
 
 
 def gram_class_residual(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], k: int) -> dict[Partition, RatFunc]:
@@ -566,7 +581,7 @@ def gram_class_residual(ensemble: Ensemble, coefficients: dict[Partition, RatFun
 def gram_class_expansion(ensemble: Ensemble, k: int, class_coefficients: Sequence[RatFunc]) -> DeltaExpansion:
     """sum_pi c_(class pi) d_pi over the index structures pi of k Gram blocks,
     with c in partitions_of(k) order (see gram_class_coefficients)."""
-    _, pairings = _structures(ensemble is Ensemble.ORTHOGONAL, k)
+    _, pairings = _structures(ensemble.gram_alpha, k)
     names = [f"{'il'[x % 2]}{x // 2 + 1}" for x in range(2 * k)]
     return _expansion({(c, pairs): 1 for pairs, c in pairings}, names, class_coefficients)
 
@@ -647,8 +662,7 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
     attachment, and _expansion writes the counts out.  Summed (tuple) labels
     are contracted, each closed loop of them a factor N.
     """
-    if not ensemble.complex_entries and any(s.conj for s in slots):
-        raise ValueError("conjugated entries are not defined for the orthogonal ensemble")
+    _check_slots(ensemble, slots)
     plain = [s for s in slots if not s.conj]
     conj = [s for s in slots if s.conj]
     placed = [s for pair in zip(plain, conj) for s in pair] if ensemble.complex_entries else list(slots)
@@ -656,10 +670,8 @@ def entry_moment(ensemble: Ensemble, coefficients: dict[Partition, RatFunc], slo
         return DeltaExpansion()
     m = len(placed) // 2
     # the COE's tau pairs plain index ends freely, like orthogonal row ends
-    orthogonal = ensemble is not Ensemble.UNITARY
-    classes, pairings = _structures(orthogonal, m)
-    shifts = (0, 1) if ensemble is Ensemble.COE else (0, 0)
-    coeffs = _class_solve(m, 2 if orthogonal else 1, _class_targets(ensemble, coefficients, classes), shifts)
+    classes, pairings = _structures(ensemble.alpha, m)
+    coeffs = _class_solve(m, ensemble.alpha, _class_targets(ensemble, coefficients, classes), (0, ensemble.pair_shift))
     labels = list(dict.fromkeys(lab for s in placed for lab in (s.row, s.col)))
     ids = {lab: i for i, lab in enumerate(labels)}
     live = [(tau, c) for tau, c in pairings if coeffs[c]]

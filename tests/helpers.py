@@ -49,10 +49,9 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from wickweights import DeltaExpansion, Ensemble, Partition, Slot
-from wickweights.algebra import Poly, RatFunc
+from wickweights.algebra import N, Poly, RatFunc
 from wickweights.combinatorics import (
     DeltaStructure,
-    _label_sort_key,
     contract_deltas,
     partitions_of,
     perfect_matchings,
@@ -86,7 +85,7 @@ def product(a: DeltaExpansion, b: DeltaExpansion) -> DeltaExpansion:
     out: dict[DeltaStructure, RatFunc] = {}
     for ka, va in a.terms.items():
         for kb, vb in b.terms.items():
-            k = tuple(sorted(ka + kb, key=lambda blk: tuple(_label_sort_key(x) for x in blk[0])))
+            k = tuple(sorted(ka + kb, key=lambda blk: blk[0]))
             out[k] = out[k] + va * vb if k in out else va * vb
     return DeltaExpansion(out)
 
@@ -94,9 +93,8 @@ def product(a: DeltaExpansion, b: DeltaExpansion) -> DeltaExpansion:
 def rename(expansion: DeltaExpansion, mapping: dict[str, str]) -> DeltaExpansion:
     out: dict[DeltaStructure, RatFunc] = {}
     for k, v in expansion.terms.items():
-        blocks = [(tuple(sorted((mapping.get(x, x) for x in labels), key=_label_sort_key)), anchor)
-                  for labels, anchor in k]
-        blocks.sort(key=lambda blk: tuple(_label_sort_key(x) for x in blk[0]))
+        blocks = [(tuple(sorted(mapping.get(x, x) for x in labels)), anchor) for labels, anchor in k]
+        blocks.sort(key=lambda blk: blk[0])
         out[tuple(blocks)] = v
     return DeltaExpansion(out)
 
@@ -322,7 +320,7 @@ def reference_expansion(ensemble: Ensemble, slots) -> DeltaExpansion:
             by_power = counts.setdefault(structure, {})
             by_power[power] = by_power.get(power, 0) + 1
     den = ensemble.pair_denominator ** m
-    return DeltaExpansion({structure: RatFunc(sum((n * Poly.n_power(p) for p, n in by_power.items()), Poly()), den)
+    return DeltaExpansion({structure: RatFunc(sum((n * N ** p for p, n in by_power.items()), Poly()), den)
                            for structure, by_power in counts.items()})
 
 
@@ -493,7 +491,7 @@ def reference_coe_matrix(m: int) -> list[list[RatFunc]]:
 def _loop_table(orthogonal: bool, k: int) -> tuple:
     """table[lam][mu] maps a number of loops to the number of structures pi
     of class mu that close that many loops with a fixed structure rho_lam."""
-    classes, classed = _structures(orthogonal, k)
+    classes, classed = _structures(2 if orthogonal else 1, k)
     mates = [(_mate(pairs), mu) for pairs, mu in classed]
     reps = {}
     for mate, mu in mates:

@@ -38,10 +38,10 @@ def test_poly_basics():
     assert str(Poly()) == "0"
 
 
-def test_n_power_refuses_a_negative_power():
-    assert RatFunc.n_power(3) == RatFunc(N**3) and Poly.n_power(0) == Poly((1,))
-    with pytest.raises(ValueError):
-        RatFunc.n_power(-2)
+def test_power_refuses_a_negative_exponent():
+    assert N**3 == Poly((0, 0, 0, 1)) and N**0 == Poly((1,))
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        N ** -2
 
 
 @pytest.mark.parametrize("make", [lambda: Poly([Fraction(1, 2), 3]), lambda: Poly([2.7]),
@@ -59,6 +59,12 @@ def test_poly_divexact():
         (N * N + 1).divexact(N - 1)
     with pytest.raises(ZeroDivisionError):
         N.divexact(Poly())
+
+
+def test_poly_divexact_of_zero_and_by_a_higher_degree():
+    assert Poly().divexact(N + 1) == Poly()
+    with pytest.raises(ValueError, match="inexact"):
+        N.divexact(N * N)
 
 
 def test_poly_gcd():
@@ -247,7 +253,7 @@ def test_hash_agrees_with_eq(value):
     f = RatFunc(value)
     assert f == value and hash(f) == hash(value) and value in {f} and f in {value}
     if isinstance(value, int):
-        p = Poly.const(value)
+        p = Poly((value,))
         assert p == value and hash(p) == hash(value) and value in {p} and p in {value}
         assert p == f and hash(p) == hash(f)
 
@@ -601,3 +607,19 @@ def test_json_roundtrip():
     assert ratfunc_from_json(obj) == f
     big = RatFunc(Poly((10**40, 1)), Poly((3,)))
     assert ratfunc_from_json(big.to_json()) == big
+
+
+def test_ratfunc_reflected_division_and_a_non_integer_pole():
+    assert 1 / RatFunc(N) == RatFunc(1, N)
+    assert 2 / RatFunc(N, N + 1) == RatFunc(2 * N + 2, N)
+    with pytest.raises(PoleError, match="factor N - 1/2 vanishes at N = 1/2") as info:
+        RatFunc(1, 2 * N - 1).eval(Fraction(1, 2))
+    assert info.value.at == Fraction(1, 2)
+
+
+def test_solve_empty_and_non_square_systems():
+    assert solve_linear_system([], []) == []
+    with pytest.raises(ValueError, match="square"):
+        solve_linear_system([[RatFunc(1), RatFunc(N)]], [RatFunc(1)])
+    with pytest.raises(ValueError, match="square"):
+        solve_linear_system([[RatFunc(1)]], [RatFunc(1), RatFunc(2)])

@@ -387,3 +387,8 @@ def test_integrate_kappa_4_degree_8_without_worker_processes():
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(RatFunc(105, N * (N + 2) * (N + 4) * (N + 6)))
+
+
+def test_non_integer_kappa_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "--ensemble", "orthogonal", "--kappa", "1.5")
+    assert code == 2 and "not an integer: '1.5'" in err

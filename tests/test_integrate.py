@@ -227,7 +227,7 @@ def test_trace_consistency(w2):
         res = contract_deltas(edges, {lab for pair in labels for lab in pair})
         assert res is not None
         _, power = res
-        total = total + coeff * RatFunc.n_power(power)
+        total = total + coeff * RatFunc(N ** power)
     assert total == weighted_trace_average(w2, k)
     assert total == RatFunc(N)  # within the exact range the trace is N
 
@@ -349,3 +349,11 @@ def test_class_targets_of_general_weight(ens, monomial, monkeypatch):
     monkeypatch.setattr(wick, "_class_targets", _reference_class_targets)
     want = wick.entry_moment(ens, coefficients, slots)
     assert got and got == want
+
+
+def test_gram_product_and_connected_order_refuse_k_out_of_range(w2):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        integrate_gram_product(w2, 0)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="1..kappa"):
+            weighted_connected_order(w2, k)

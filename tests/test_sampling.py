@@ -307,3 +307,17 @@ def test_pole_surfaces_in_cross_check():
     f = RatFunc(1, N - 8)
     with pytest.raises(PoleError):
         cross_check(f, Ensemble.ORTHOGONAL, MonomialSpec.parse("M[1,1] M[1,1]"), 8, 10_000, seed=1)
+
+
+def test_sampler_refuses_an_empty_dimension_or_sample():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        sample_haar(Ensemble.ORTHOGONAL, 0, seed=1)
+    with pytest.raises(ValueError, match="at least one sample"):
+        mc_integrate(Ensemble.ORTHOGONAL, MonomialSpec.parse("M[1,1] M[1,1]"), 8, 0, seed=1)
+
+
+@pytest.mark.parametrize("exact, passed, z", [(1, True, 0.0), (2, False, math.inf)])
+def test_cross_check_with_zero_standard_error(exact, passed, z):
+    # O(1) = {1, -1}, so M[1,1]^2 is 1 in every sample and the standard error is 0
+    report = cross_check(RatFunc(exact), Ensemble.ORTHOGONAL, MonomialSpec.parse("M[1,1] M[1,1]"), 1, 100, seed=1)
+    assert report.estimate.standard_error == 0 and report.passed is passed and report.z == z

@@ -324,6 +324,45 @@ def test_kernel_weight_same_cold_and_after_smaller_kappa(ens):
     assert wick.kernel_weight(ens, 4) == cold
 
 
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_trace_moments_by_wishart_moments_of_jack_polynomials(ens):
+    # <J_phi(W)>_g = Z_phi(N) Z_phi(N + s) / d^|phi| (James, 1964), so <p_lam(W)>_g =
+    # d^-|lam| sum_phi z^alpha_lam J_phi[lam] / j_phi Z_phi(N) Z_phi(N + s): a second path to the
+    # trace moments that shares nothing with the loop equation
+    from wickweights.algebra import linear_product, scaled_sum
+    from wickweights.wick import _jack_table
+
+    for k in range(1, 9):
+        z, jacks = _jack_table(k, ens.alpha)
+        for i, lam in enumerate(partitions_of(k)):
+            # J_phi = scale v_phi and j_phi = scale^2 <v_phi, v_phi>
+            num, q = scaled_sum((z[i] * Fraction(jack.v[i], jack.norm) / jack.scale,
+                                 linear_product(jack.offsets) * linear_product(jack.offsets, ens.pair_shift))
+                                for jack in jacks)
+            assert RatFunc(num, q * ens.pair_denominator ** k) == gaussian_trace_moment(ens, [lam]), lam
+
+
+#: The unitary theta whose L_theta(c 1) decays faster than N^-ceil(|theta|/2), |theta| <= 10, and by how
+#: many orders.
+_FASTER_UNITARY = {(4, 3, 2, 1): 3, **dict.fromkeys([
+    (3, 1, 1), (3, 2, 1), (5, 2, 1), (3, 2, 1, 1, 1), (5, 3, 1), (5, 1, 1, 1, 1), (3, 3, 3), (3, 2, 2, 1, 1),
+    (7, 2, 1), (5, 4, 1), (5, 2, 1, 1, 1), (3, 2, 2, 2, 1), (3, 2, 1, 1, 1, 1, 1)], 1)}
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_laguerre_value_at_one_decays_with_half_its_size(ens):
+    # L_theta(c 1) = ell_theta / Z_theta(N + s) has order |theta| - deg ell_theta >= ceil(|theta|/2),
+    # and L_(1)(c 1) = 0: the error of a weight of order kappa, a sum over |theta| > kappa, is
+    # then O(N^-(floor(kappa/2) + 1)) whatever the degree
+    from wickweights.wick import _ell
+
+    assert not _ell((1,), ens.alpha, ens.pair_shift)[0]
+    faster = _FASTER_UNITARY if ens is Ensemble.UNITARY else {}
+    orders = {theta: k - _ell(theta, ens.alpha, ens.pair_shift)[0].degree
+              for k in range(2, 11) for theta in partitions_of(k)}
+    assert orders == {theta: (sum(theta) + 1) // 2 + faster.get(theta, 0) for theta in orders}
+
+
 @pytest.mark.parametrize("shift", [0, 1])
 @pytest.mark.parametrize("offsets", [(), (3,), (0, 0, 0), (-2, 1, -2, 4), (-1, -3, 0, 2, 2)])
 def test_boxes_is_the_product_of_linear_factors(offsets, shift):
@@ -583,3 +622,16 @@ def test_cumulants_from_moments_scalar():
     # 14 - 3*(1*2) [pair*single cumulant 1] - 2*2*2 = 14 - 3*2*... computed below
     # singles: 2; pairs: 5 - 4 = 1; triple: 14 - 3*(1*2) - 8 = 0
     assert got == RatFunc(0)
+
+
+def test_connected_entry_moment_needs_a_factor():
+    with pytest.raises(ValueError, match="at least one factor"):
+        connected_entry_moment(Ensemble.ORTHOGONAL, 0)
+
+
+def test_expansion_with_free_deltas_has_no_scalar_and_prints_its_terms():
+    got = slots_moment(Ensemble.ORTHOGONAL, [Slot("i", "j"), Slot("k", "l")])
+    with pytest.raises(ValueError, match="free-index deltas"):
+        got.as_ratfunc()
+    assert repr(got) == "DeltaExpansion([(1) / (N)]d(i,k)d(j,l))"
+    assert repr(DeltaExpansion()) == "DeltaExpansion(0)"
