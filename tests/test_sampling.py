@@ -136,13 +136,17 @@ def test_mc_imag_mean_from_one_value_path(ens, text):
         assert est.imag_mean == 0.0
 
 
-def _mc_second_moment_traced(n: int):
+def _mc_traced(ens: Ensemble, text: str, n: int, samples: int, seed: int):
     tracemalloc.start()
     try:
-        est = mc_integrate(Ensemble.ORTHOGONAL, MonomialSpec.parse("M[1,1] M[1,1]"), n, 10_000, seed=23)
+        est = mc_integrate(ens, MonomialSpec.parse(text), n, samples, seed)
         return est, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _mc_second_moment_traced(n: int):
+    return _mc_traced(Ensemble.ORTHOGONAL, "M[1,1] M[1,1]", n, 10_000, seed=23)
 
 
 def test_mc_memory_bounded_at_large_dimension():
@@ -158,6 +162,14 @@ def test_mc_cost_flat_in_dimension():
     est, peak = _mc_second_moment_traced(10**6)
     assert abs(est.mean - 1e-6) <= 5 * est.standard_error
     assert peak < 100e6
+
+
+def test_mc_memory_bounded_by_batch_not_samples():
+    # a batch holds 2^16 real numbers, 512 KiB, whatever the sample count: these
+    # 200 000 COE samples of four complex entries each run in batches of 4096
+    est, peak = _mc_traced(Ensemble.COE, "M[1,2] Mc[1,2]", 8, 200_000, seed=29)
+    assert abs(est.mean - 1 / 9) <= 5 * est.standard_error
+    assert peak < 4e6
 
 
 class _FixedNormals:
