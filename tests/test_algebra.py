@@ -9,18 +9,9 @@ from fractions import Fraction
 import pytest
 from helpers import prs_gcd, ratfunc_from_json, weight_from_json
 
-from wickweights import algebra
-from wickweights.algebra import (
-    N,
-    PoleError,
-    Poly,
-    RatFunc,
-    SingularMatrixError,
-    clear_denominators,
-    linear_product,
-    poly_gcd,
-    solve_linear_system,
-)
+from wickweights import modular
+from wickweights.algebra import N, PoleError, Poly, RatFunc, clear_denominators, linear_product
+from wickweights.modular import SingularMatrixError, poly_gcd, solve_linear_system
 
 ONE = Poly((1,))
 
@@ -81,8 +72,8 @@ _P = 2**61 - 1  # the first prime of the solve and of the gcd
 def test_poly_gcd_large_coefficients_join_primes(monkeypatch):
     # coefficients beyond 2^61 lift only from two or more primes joined by the CRT
     joins = []
-    crt = algebra._crt
-    monkeypatch.setattr(algebra, "_crt", lambda *args: joins.append(1) or crt(*args))
+    crt = modular._crt
+    monkeypatch.setattr(modular, "_crt", lambda *args: joins.append(1) or crt(*args))
     big = (2**70 + 1) * N + 3
     assert poly_gcd(big * (N + 1), big * (N - 2)) == big
     assert joins
@@ -295,8 +286,8 @@ def test_arithmetic_matches_general_random(monkeypatch):
     # N^2 + 1, are the reduction from scratch of the same pair; a sum, difference or
     # product of two split ratios reaches no gcd and keeps its known factors
     calls = []
-    gcd = algebra.poly_gcd
-    monkeypatch.setattr(algebra, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    gcd = modular.poly_gcd
+    monkeypatch.setattr(modular, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     rng = random.Random(29)
     for trial in range(300):
         f, g = (_rand_split(rng, N * N + 1 if trial % 4 == i else ONE) for i in (1, 2))
@@ -422,8 +413,8 @@ def test_solve_determinant_divisible_by_the_first_prime():
 def test_solve_large_coefficient_needs_crt(monkeypatch):
     # 2^71 + 1 does not lift from one 61-bit prime: at least three are joined
     joins = []
-    crt = algebra._crt
-    monkeypatch.setattr(algebra, "_crt", lambda *args: joins.append(1) or crt(*args))
+    crt = modular._crt
+    monkeypatch.setattr(modular, "_crt", lambda *args: joins.append(1) or crt(*args))
     big = 2**71 + 1
     x = [RatFunc(big * N - 1, N + 3), RatFunc(N, 2 * N + 1)]
     mat = [[RatFunc(1), RatFunc(N)], [RatFunc(N + 1), RatFunc(-1)]]
@@ -442,10 +433,10 @@ def test_solve_gram_system_with_one_prime(monkeypatch, table):
 
     want = weight_from_json(table)
     system = build_gram_system(want.ensemble, want.kappa)
-    images, satisfies = algebra._images_mod, algebra._satisfies
+    images, satisfies = modular._images_mod, modular._satisfies
     calls = []
-    monkeypatch.setattr(algebra, "_images_mod", lambda *a: calls.append("images") or images(*a))
-    monkeypatch.setattr(algebra, "_satisfies", lambda *a: calls.append("check") or satisfies(*a))
+    monkeypatch.setattr(modular, "_images_mod", lambda *a: calls.append("images") or images(*a))
+    monkeypatch.setattr(modular, "_satisfies", lambda *a: calls.append("check") or satisfies(*a))
     x = solve_linear_system(system.matrix, system.rhs)
     assert x == [want.coefficient(p) for p in system.partitions]
     assert calls == ["images", "check"]
@@ -509,13 +500,13 @@ def test_solve_survives_a_wrong_interpolant(monkeypatch):
     # a wrong rational function mod p misses the solve at the next point
     mat, rhs, expect = _cramer_2x2_case()
     calls = []
-    mqrr = algebra._mqrr
+    mqrr = modular._mqrr
 
     def wrong_once(m, u, p):
         calls.append(1)
         return ([1], [1]) if len(calls) == 1 else mqrr(m, u, p)
 
-    monkeypatch.setattr(algebra, "_mqrr", wrong_once)
+    monkeypatch.setattr(modular, "_mqrr", wrong_once)
     assert solve_linear_system(mat, rhs) == expect
 
 
@@ -525,7 +516,7 @@ def test_solve_survives_a_wrong_lift(monkeypatch, wrong_lifts):
     # prime's lift is returned; after two equal ones, the solve starts over
     mat, rhs, expect = _cramer_2x2_case()
     lifts, checks = [], []
-    lift, satisfies = algebra._lift, algebra._satisfies
+    lift, satisfies = modular._lift, modular._satisfies
 
     def wrong_lift(residues, modulus):
         out = lift(residues, modulus)
@@ -535,8 +526,8 @@ def test_solve_survives_a_wrong_lift(monkeypatch, wrong_lifts):
             out = [((num[0] + 1,) + num[1:], den)] + rest
         return out
 
-    monkeypatch.setattr(algebra, "_lift", wrong_lift)
-    monkeypatch.setattr(algebra, "_satisfies", lambda *a: checks.append(satisfies(*a)) or checks[-1])
+    monkeypatch.setattr(modular, "_lift", wrong_lift)
+    monkeypatch.setattr(modular, "_satisfies", lambda *a: checks.append(satisfies(*a)) or checks[-1])
     assert solve_linear_system(mat, rhs) == expect
     assert checks == ([False, False, True] if wrong_lifts == 2 else [False, True])
 
@@ -545,7 +536,7 @@ def test_solve_fails_when_the_points_disagree(monkeypatch):
     # values of no rational function, one unknown off at every other point,
     # raise once the points pass what the system's degrees allow
     mat, rhs, _ = _cramer_2x2_case()
-    solve_at, points = algebra._solve_at, []
+    solve_at, points = modular._solve_at, []
 
     def corrupt(rows, x, p):
         out = solve_at(rows, x, p)
@@ -554,7 +545,7 @@ def test_solve_fails_when_the_points_disagree(monkeypatch):
             out[0] = (out[0] + 1) % p
         return out
 
-    monkeypatch.setattr(algebra, "_solve_at", corrupt)
+    monkeypatch.setattr(modular, "_solve_at", corrupt)
     with pytest.raises(ArithmeticError, match="nonsingular points"):
         solve_linear_system(mat, rhs)
     assert len(points) < 100
@@ -562,10 +553,10 @@ def test_solve_fails_when_the_points_disagree(monkeypatch):
 
 def test_primes():
     small = [n for n in range(2000) if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))]
-    assert [n for n in range(2000) if algebra._is_prime(n)] == small
-    assert algebra._prime(0) == 2**61 - 1
-    assert algebra._prime(0) > algebra._prime(1) > algebra._prime(2)
-    assert all(algebra._is_prime(algebra._prime(i)) for i in range(3))
+    assert [n for n in range(2000) if modular._is_prime(n)] == small
+    assert modular._prime(0) == 2**61 - 1
+    assert modular._prime(0) > modular._prime(1) > modular._prime(2)
+    assert all(modular._is_prime(modular._prime(i)) for i in range(3))
 
 
 def test_asymptotic_order_examples():

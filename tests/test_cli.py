@@ -14,11 +14,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _run_python(code: str, timeout: int = 120) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports the package from src/."""
+def _run_python(*args: str, timeout: int = 120, text: bool = True) -> subprocess.CompletedProcess:
+    """Run python with args in a fresh interpreter that imports the package from src/."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
+    env.pop("PYTHONUNBUFFERED", None)  # a piped stdout stays block-buffered, so an exit that skips its flush shows
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text, timeout=timeout)
 
 
 def test_weights_text(capsys):
@@ -98,7 +99,7 @@ _SESSION = [("verify", "--ensemble", e, "--kappa", "3") for e in ("orthogonal", 
 def test_no_run_builds_or_solves_a_gram_system(capsys, monkeypatch):
     # every weight is the closed form, so the session prints the same when
     # the Gram build and the linear solver refuse to run
-    from wickweights import algebra, weights
+    from wickweights import modular, weights
 
     want = [run(capsys, *argv) for argv in _SESSION]
     assert all(code == 0 and out for code, out, _ in want)
@@ -107,7 +108,7 @@ def test_no_run_builds_or_solves_a_gram_system(capsys, monkeypatch):
         raise AssertionError("a run built or solved a Gram system")
 
     monkeypatch.setattr(weights, "build_gram_system", refuse)
-    monkeypatch.setattr(algebra, "solve_linear_system", refuse)
+    monkeypatch.setattr(modular, "solve_linear_system", refuse)
     assert [run(capsys, *argv) for argv in _SESSION] == want
 
 
@@ -305,19 +306,47 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_import_without_numpy():
-    # start-up loads numpy only when the Monte Carlo oracle is asked for, and
-    # json only when a command writes JSON
+    # start-up loads numpy only when the Monte Carlo oracle is asked for, json
+    # only when a command writes JSON, and the modular solver and gcd neither
+    # at start-up nor in a verify or an integrate --at; the solver still
+    # resolves as algebra.solve_linear_system
     code = (
         "import sys, wickweights.cli\n"
+        "from wickweights import algebra\n"
         "assert 'numpy' not in sys.modules, 'numpy imported at start-up'\n"
         "assert 'logging' not in sys.modules, 'logging imported at start-up'\n"
         "late = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
         "assert not late, f'{late} imported at start-up'\n"
+        "def no_solver():\n"
+        "    held = {'solve_linear_system', 'poly_gcd'} & set(vars(algebra))\n"
+        "    assert not held, f'{held} in algebra'\n"
+        "    assert 'wickweights.modular' not in sys.modules, 'wickweights.modular imported'\n"
+        "no_solver()\n"
+        "assert wickweights.cli.main(['verify', '--ensemble', 'coe', '--kappa', '3']) == 0\n"
+        "assert wickweights.cli.main(['integrate', '--ensemble', 'unitary', '--kappa', '3', '--monomial',\n"
+        "                             'M[1,1] Mc[1,1] M[1,1] Mc[1,1]', '--at', '9']) == 0\n"
+        "no_solver()\n"
+        "assert callable(algebra.solve_linear_system)\n"
         "from wickweights import mc_integrate\n"
         "assert 'numpy' in sys.modules and callable(mc_integrate)\n"
     )
-    proc = _run_python(code, timeout=60)
+    proc = _run_python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_process_entry_point(capsys):
+    # python -m wickweights.cli exits through cli.entry: a piped stdout holds the bytes that main()
+    # prints in process, and the exit codes are main's
+    verify = ("verify", "--ensemble", "coe", "--kappa", "3")
+    code, out, _ = run(capsys, *verify)
+    proc = _run_python("-m", "wickweights.cli", *verify, text=False)
+    assert proc.returncode == code == 0 and proc.stdout == out.encode()
+    proc = _run_python("-m", "wickweights.cli", "sample", "--ensemble", "orthogonal", "--monomial", "M[1,1] M[1,1]",
+                       "--N", "8", "--samples", "20000", "--seed", "7", "--expect", "9/8")
+    assert proc.returncode == 1 and json.loads(proc.stdout)["pass"] is False
+    proc = _run_python("-m", "wickweights.cli", "integrate", "--ensemble", "orthogonal", "--kappa", "2",
+                       "--monomial", "M[1,1] M[1,1] M[1,1] M[1,1]", "--at", "-2")
+    assert proc.returncode == 2 and proc.stdout == "" and "error: " in proc.stderr and "N + 2" in proc.stderr
 
 
 def test_every_exported_name_resolves():
@@ -330,7 +359,8 @@ def test_every_exported_name_resolves():
 def test_run_touches_no_disk(tmp_path, monkeypatch, capsys):
     # every place a weight cache could live is one empty directory; nothing
     # is written there, and tables planted there are not read
-    from wickweights.algebra import N, RatFunc, solve_linear_system
+    from wickweights.algebra import N, RatFunc
+    from wickweights.modular import solve_linear_system
     from wickweights.weights import WeightFunction, build_gram_system
     from wickweights.wick import Ensemble
 
@@ -362,6 +392,7 @@ def test_run_touches_no_disk(tmp_path, monkeypatch, capsys):
         path.write_bytes(content)
     assert [run(capsys, *argv) for argv in commands] == outputs
     proc = _run_python(
+        "-c",
         "import sys\n"
         "from wickweights.cli import main\n"
         "assert main(['verify', '--ensemble', 'orthogonal', '--kappa', '2']) == 0\n"
@@ -384,7 +415,7 @@ def test_integrate_kappa_4_degree_8_without_worker_processes():
         "assert rc == 0, rc\n"
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
     )
-    proc = _run_python(code)
+    proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(RatFunc(105, N * (N + 2) * (N + 4) * (N + 6)))
 

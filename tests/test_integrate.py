@@ -327,14 +327,14 @@ def test_class_targets_of_general_weight(ens, monomial, monkeypatch):
     # does not split over the integers, a zero coefficient and invariants
     # of sizes 0-3, against the sum of reduced trace moments a_p <I_p p_lam>,
     # through poly_gcd; a key that is not a partition is refused
-    from wickweights import algebra, wick
+    from wickweights import modular, wick
     from wickweights.combinatorics import partitions_of
 
     coefficients = {(): RatFunc(3, N * N + 1), (1,): RatFunc(N - 2, N * (N * N + 1)), (2,): RatFunc(0),
                     (2, 1): RatFunc(-5, N + 3), (1, 1, 1): RatFunc(N, 7)}
     alpha = 2 if ens is Ensemble.ORTHOGONAL else 1
-    calls, gcd = [], algebra.poly_gcd
-    monkeypatch.setattr(algebra, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    calls, gcd = [], modular.poly_gcd
+    monkeypatch.setattr(modular, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     for k in range(1, 5):
         targets = _reference_class_targets(ens, coefficients, list(partitions_of(k)))
         # N^2 + 1 is no known linear factor, so the cofactor beside the known ones reaches poly_gcd

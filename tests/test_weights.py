@@ -170,14 +170,14 @@ def test_kernel_and_checks_take_no_gcd(ens, monkeypatch):
     # every denominator that the kernel, the defining conditions, the error order, an
     # entry moment and the connected parts form is a constant times known factors N + r,
     # so no reduction reaches poly_gcd
-    from wickweights import MonomialSpec, algebra
+    from wickweights import MonomialSpec, modular
     from wickweights.integrate import error_order, integrate_monomial, weighted_connected_order
     from wickweights.wick import connected_entry_moment
 
     def refuse(a, b):
         raise AssertionError(f"poly_gcd({a}, {b}) reached")
 
-    monkeypatch.setattr(algebra, "poly_gcd", refuse)
+    monkeypatch.setattr(modular, "poly_gcd", refuse)
     for kappa in range(1, 9):
         w = solve_weight(ens, kappa)
         if kappa <= 6:

@@ -38,9 +38,10 @@ from wickweights import (
     gaussian_entry_moment,
     gaussian_trace_moment,
 )
-from wickweights.algebra import N, Poly, RatFunc, solve_linear_system
+from wickweights.algebra import N, Poly, RatFunc
 from wickweights.combinatorics import partitions_of, set_partitions
 from wickweights.integrate import integrate_gram_product, integrate_monomial
+from wickweights.modular import solve_linear_system
 from wickweights.weights import solve_weight, unit_weight, weighted_moment
 from wickweights.wick import (
     entry_moment,
