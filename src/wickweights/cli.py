@@ -28,9 +28,9 @@ from .weights import solve_weight, verify_conditions
 from .wick import Ensemble, MonomialSpec, gaussian_trace_moment
 
 #: The largest kappa each command runs without a warning: above it a cold run in the slowest ensemble, the COE,
-#: passes about 10 s on two cores.  `weights` takes 4.2-5.6 s at 14, 8.1 s at 15 and 15 s at 16, and `verify`
-#: 5.8-6.3 s at 10 and 12.5 s at 11.  `integrate` solves the same weight as `weights`.
-_COST_WARNING_KAPPA = {"weights": 14, "integrate": 14, "verify": 10}
+#: passes about 10 s on two cores.  `weights` takes 1.5-2.4 s at 14, 3.0-3.6 s at 15, 5.3-6.1 s at 16 and
+#: 11-13.7 s at 17, and `verify` 5.8-6.3 s at 10 and 12.5 s at 11.  `integrate` solves the same weight as `weights`.
+_COST_WARNING_KAPPA = {"weights": 16, "integrate": 16, "verify": 10}
 #: The most factors of a monomial `integrate` takes without a warning: at 14 it enumerates 135135 index
 #: structures, in 2.2 s and 97 MB in the COE, and at 16 15 times as many.
 _COST_WARNING_FACTORS = 14
@@ -149,13 +149,10 @@ def _cmd_verify(args) -> int:
         ok = ok and report.ok
     beta = error_order(weight, args.kappa + 1)
     bound = args.kappa // 2 + 1
-    if beta is None:
-        print(f"error order at k={args.kappa + 1}: difference is identically zero")
-    else:
-        status = "ok" if beta >= bound else "FAILED"
-        print(f"error order at k={args.kappa + 1}: observed beta={beta}, bound {bound}: {status}")
-        ok = ok and beta >= bound
-    return 0 if ok else 1
+    # beta is never None: a solved weight's difference at kappa + 1 is not identically zero
+    status = "ok" if beta >= bound else "FAILED"
+    print(f"error order at k={args.kappa + 1}: observed beta={beta}, bound {bound}: {status}")
+    return 0 if ok and beta >= bound else 1
 
 
 def _cmd_sample(args) -> int:

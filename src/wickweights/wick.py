@@ -64,7 +64,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import N, Poly, RatFunc, clear_denominators, linear_combination, linear_product, scaled_sum
+from .algebra import N, Poly, RatFunc, clear_denominators, linear_combination, scaled_sum
 from .combinatorics import (
     DeltaStructure,
     Partition,
@@ -359,12 +359,11 @@ def _fillings(parts: Partition, boxes: Partition) -> int:
 
 
 class _Jack(NamedTuple):
-    """One Jack polynomial of a _jack_table: J_theta = scale v in power sums."""
+    """One Jack polynomial of a _jack_table: J_theta = v / v[-1] in power sums."""
 
     offsets: tuple[int, ...]  # alpha j - i for the boxes (i, j) of theta, counted from 0
     v: tuple[int, ...]  # coefficients of the power sums, in partitions_of order, with content 1
-    norm: int  # <v, v>, so that j_theta = <J_theta, J_theta> = scale^2 norm
-    scale: Fraction
+    norm: int  # <v, v>, so that j_theta = <J_theta, J_theta> = norm / v[-1]^2
 
 
 @functools.cache
@@ -385,7 +384,7 @@ def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[_Jack, ...]]
     lcm(z) g_theta and, for each earlier v_phi with <v, v_phi> = a and
     <v_phi, v_phi> = b, takes v <- (b v - a v_phi) / gcd(a, b), which keeps
     its direction orthogonal to v_phi; the content of v is removed once per
-    theta.  p_1^k comes last in partitions_of order, so scale = 1 / v[-1].
+    theta.  p_1^k comes last in partitions_of order, so J_theta = v / v[-1].
     """
     classes = list(partitions_of(k))
     z = tuple(alpha ** len(mu) * math.prod(x ** n * math.factorial(n) for x, n in Counter(mu).items())
@@ -402,13 +401,9 @@ def _jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[_Jack, ...]]
                 v = [b * x - a * y for x, y in zip(v, phi.v)]
         content = math.gcd(*v)
         v = tuple(x // content for x in v)
-        jacks.append(_Jack(tuple(_skew(theta, (), alpha)), v, sum(w * x * x for w, x in zip(z, v)), Fraction(1, v[-1])))
+        offsets = tuple(alpha * j - i for i, row in enumerate(theta) for j in range(row))
+        jacks.append(_Jack(offsets, v, sum(w * x * x for w, x in zip(z, v))))
     return z, tuple(jacks)
-
-
-def _skew(theta: Partition, sigma: Partition, alpha: int) -> list[int]:
-    """The offsets alpha j - i of the boxes (i, j) of theta outside sigma, counted from 0."""
-    return [alpha * j - i for i, row in enumerate(theta) for j in range(sigma[i] if i < len(sigma) else 0, row)]
 
 
 def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequence[int]) -> list[RatFunc]:
@@ -422,119 +417,86 @@ def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequenc
     from 0, of (N + alpha j - i) (Macdonald, VII.2; Zinn-Justin, Lett. Math.
     Phys. 91 (2010)), so no matrix is formed:
 
-        c_mu = sum_theta z^alpha_mu J_theta[mu] (sum_lam J_theta[lam] T_lam)
+        c_mu = z^alpha_mu sum_theta J_theta[mu] (sum_lam J_theta[lam] T_lam)
                          / (j_theta prod_s Z_theta(N + s)),
 
-    in which the scale of J_theta cancels, so the integer v_theta of
-    _jack_table stands for it.  The targets are cleared once, each
-    projection is reduced once over its eigenvalue's linear factors, and
-    the projections are cleared once more for the integer sums over theta.
+    the Jack-diagonal step of _jack_diagonal on the targets, cleared once,
+    times z^alpha_mu.
     """
-    z, jacks = _jack_table(k, alpha)
-    den, nums, factors = clear_denominators(targets)
+    z, _ = _jack_table(k, alpha)
+    den, nums, factors = _jack_diagonal(k, alpha, *clear_denominators(targets), shifts)
+    return [RatFunc.factored(w * f, den, factors) for w, f in zip(z, nums)]
+
+
+def _jack_diagonal(k: int, alpha: int, den: Poly, nums: Sequence[Poly], factors: Counter,
+                   shifts: Sequence[int]) -> tuple[Poly, list[Poly], Counter]:
+    """sum_theta J_theta[mu] (sum_lam J_theta[lam] nums[lam]) / (den j_theta prod_s Z_theta(N + s))
+    per class mu of k, den divisible by the linear factors {r: e}, as one denominator, the numerators
+    over it and its known factors.  The integer v_theta of _jack_table stands for J_theta, whose scale
+    cancels.  Each projection is reduced once over its eigenvalue's factors, and the projections are
+    cleared once for the integer sums over theta."""
+    _, jacks = _jack_table(k, alpha)
     live, projs = [], []
     for jack in jacks:
         proj, _ = scaled_sum((a, t) for a, t in zip(jack.v, nums) if a and t)
         if proj:
             live.append(jack.v)
-            projs.append(RatFunc.factored(proj, den * jack.norm, factors, [s + x for s in shifts for x in jack.offsets]))
+            more = [s + x for s in shifts for x in jack.offsets]
+            projs.append(RatFunc.factored(proj, den * jack.norm, factors, more))
     den, nums, factors = clear_denominators(projs)
-    return [RatFunc.factored(w * scaled_sum((v[mu], f) for v, f in zip(live, nums) if v[mu])[0], den, factors)
-            for mu, w in enumerate(z)]
+    return den, [scaled_sum((v[mu], f) for v, f in zip(live, nums) if v[mu])[0] for mu in range(len(jacks))], factors
 
 
-@functools.cache
-def _down(phi: Partition, r: int, alpha: int) -> Fraction:
-    """binom(phi, sigma) for sigma = phi less the last box b of row r: the product over the
-    boxes s of phi left of b of (alpha a + l + alpha) / (alpha a + l), and over those above b
-    of (alpha a + l + 1) / (alpha a + l), with a and l the arm and leg of s in phi (Kaneko,
-    SIAM J. Math. Anal. 24 (1993))."""
-    j, depth = phi[r] - 1, [sum(part > c for part in phi) for c in range(phi[r])]  # b's column, column lengths
-    hooks = [(alpha * (j - c) + depth[c] - 1 - r, alpha) for c in range(j)]
-    hooks += [(alpha * (phi[i] - 1 - j) + depth[j] - 1 - i, 1) for i in range(r)]
-    return Fraction(math.prod(h + e for h, e in hooks), math.prod(h for h, _ in hooks))
-
-
-@functools.cache
-def _ell(theta: Partition, alpha: int, s: int) -> tuple[Poly, int]:
-    """ell_theta = Z_theta(N + s) L_theta(c 1) of kernel_weight, as an integer polynomial and the
-    denominator it is over."""
-    return scaled_sum(((-1) ** sum(sigma) * b, linear_product([0] * sum(sigma) + _skew(theta, sigma, alpha), s))
-                      for sigma, b in _binomials(theta, alpha).items())
-
-
-@functools.cache
-def _binomials(theta: Partition, alpha: int) -> dict[Partition, Fraction]:
-    """The generalized binomials binom(theta, sigma) of J_theta(1 + x) / J_theta(1^n) =
-    sum_sigma binom(theta, sigma) J_sigma(x) / J_sigma(1^n), nonzero exactly for the sigma
-    inside theta (Lassalle, C. R. Acad. Sci. Paris 312 (1991)).  From binom(theta, theta) = 1
-    they follow one box at a time down from theta by Kaneko's recurrence (Dumitriu, Edelman
-    and Shuman, J. Symbolic Comput. 42 (2007)),
-
-        (|theta| - |sigma|) binom(theta, sigma) = sum_phi binom(phi, sigma) binom(theta, phi),
-
-    over the phi inside theta with one box more than sigma, each binom(phi, sigma) a _down.
-    """
-    out, level = {theta: Fraction(1)}, [theta]
-    for gap in range(1, sum(theta) + 1):
-        sums: dict[Partition, Fraction] = {}
-        for phi in level:
-            for r in range(len(phi)):
-                if r + 1 == len(phi) or phi[r] > phi[r + 1]:
-                    sigma = phi[:r] + (phi[r] - 1,) * (phi[r] > 1) + phi[r + 1:]
-                    sums[sigma] = sums.get(sigma, 0) + _down(phi, r, alpha) * out[phi]
-        level = list(sums)
-        out.update((sigma, b / gap) for sigma, b in sums.items())
+def _shift_down(f: dict[Partition, Poly]) -> dict[Partition, Poly]:
+    """D f for f = sum_lam f_lam p_lam, where D p_k = k p_(k-1) and p_0 = N: the derivative at
+    t = 0 of f at the point with coordinates x_i + t.  D takes each part k, m_k times in lam,
+    to m_k k p_(k-1) in place of p_k."""
+    out: dict[Partition, Poly] = {}
+    for lam, f_lam in f.items():
+        for k, n in Counter(lam).items():
+            last = lam.index(k) + n - 1  # the last part k, so that k - 1 keeps the order
+            nu = lam[:last] + (k - 1,) * (k > 1) + lam[last + 1:]
+            out[nu] = out.get(nu, Poly()) + n * k * (f_lam if k > 1 else N * f_lam)
     return out
 
 
 def kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
-    """Coefficients a_mu of the weight of order kappa, w = sum_mu a_mu p_mu(W), as the
-    Laguerre reproducing kernel at W = 1 (Baker and Forrester, Commun. Math. Phys. 188
-    (1997)), which the defining conditions <w f(W)>_g = f(1), deg f <= kappa, fix:
+    """Coefficients a_mu of the weight of order kappa, w = sum_mu a_mu p_mu(W): the Laguerre
+    reproducing kernel at W = 1, which the defining conditions <w f(W)>_g = f(1), deg f <= kappa,
+    fix.  x = c W, with c = d / alpha, d = N + s the pair denominator and alpha as in _class_solve,
+    is Laguerre distributed (James, Ann. Math. Statist. 35 (1964)), and the generating function of
+    the Laguerre polynomials (Baker and Forrester, Commun. Math. Phys. 188 (1997)) at x = c 1,
 
-        w = sum over |theta| <= kappa of L_theta(c 1) L_theta(c W) / <L_theta^2>_g.
+        G = exp(c sum_(k >= 2) (1/k - 1) p_k),  G_lam = prod_k (c (1 - k) / k)^(m_k) / m_k!
 
-    x = c W, with c = d / alpha, d = N + s the pair denominator and alpha as in
-    _class_solve, is Laguerre distributed (James, Ann. Math. Statist. 35 (1964)):
-    L_theta(x) = sum_sigma (-1)^|sigma| binom(theta, sigma) alpha^|sigma| J_sigma(x)
-    / (Z_sigma(N) Z_sigma(N + s)) and <L_theta^2>_g = j_theta / (Z_theta(N) Z_theta(N + s))
-    (Lassalle, 1991).  Z_sigma divides Z_theta for sigma inside theta, so ell_theta =
-    Z_theta(N + s) L_theta(c 1) = sum_sigma (-1)^|sigma| binom(theta, sigma) d^|sigma|
-    Z_theta(N + s) / Z_sigma(N + s) is a polynomial, and with m = |mu|
+    with m_k the parts k of lam, writes the kernel with no generalized binomial:
 
-        a_mu = (-d)^m sum_(sigma of m) J_sigma[mu] / Z_sigma(N + s) sum_(theta containing sigma)
-               binom(theta, sigma) ell_theta Z_theta(N) / (j_theta Z_sigma(N)),
+        w = sum_sigma (-d)^|sigma| / Z_sigma(N + s) [J_sigma(y)] G_(<= kappa)(1^N + y) J_sigma(W),
 
-    summed over the lcm of the Z_sigma(N + s) and reduced once, by trial division at its linear
-    factors.  ell_theta is _ell(theta), and the binom(theta, sigma) of each theta come from one
-    _binomials(theta).  With J_sigma = scale_sigma v_sigma as in _jack_table, scale_sigma =
-    1 / v_sigma[1^m] joins the inner sum, and the outer sum has the integer multipliers
-    v_sigma[mu] over one denominator per m.
+    with G_(<= kappa) the terms of |lam| <= kappa and 1^N + y the point with coordinates 1 + y_i.
+    The shift is e^D (_shift_down), so the degree-m part of G_(<= kappa)(1^N + y) is
+    F = sum_r D^r G_(m + r) / r!, and the sum over the sigma of m is _class_solve's Jack-diagonal
+    step, _jack_diagonal, on (-d)^m z^alpha_nu F_nu with the one eigenvalue factor Z_sigma(N + s).
+    The weights kappa! / r! on q G keep each F_nu an integer polynomial over kappa! q.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    alpha, s = ensemble.alpha, ensemble.pair_shift
-    jacks = {theta: jack for k in range(kappa + 1) for theta, jack in zip(partitions_of(k), _jack_table(k, alpha)[1])}
-    inner: dict[Partition, list] = {theta: [] for theta in jacks}  # sigma -> the terms of its sum over theta
-    for theta in jacks:
-        ell, scale = _ell(theta, alpha, s)
-        over = 1 / (jacks[theta].scale ** 2 * jacks[theta].norm * scale)
-        for sigma, b in _binomials(theta, alpha).items():
-            inner[sigma].append((b * jacks[sigma].scale * over, ell * linear_product(_skew(theta, sigma, alpha))))
+    alpha, d = ensemble.alpha, ensemble.pair_denominator
+    g = {lam: math.prod(Fraction(1 - k, k * alpha) ** n / math.factorial(n) for k, n in Counter(lam).items())
+         for m in range(kappa + 1) for lam in partitions_of(m) if 1 not in lam}
+    q, top = math.lcm(*(x.denominator for x in g.values())), math.factorial(kappa)
+    level = {lam: x.numerator * (q // x.denominator) * d ** len(lam) for lam, x in g.items()}  # q G
+    shifted: dict[Partition, list] = {}  # nu -> the (kappa! / r!, D^r q G) of kappa! q F_nu
+    for r in range(kappa + 1):
+        for nu, f in level.items():
+            shifted.setdefault(nu, []).append((top // math.factorial(r), f))
+        level = _shift_down(level)
     out = {}
     for m in range(kappa + 1):
-        sigmas = list(partitions_of(m))
-        lcm = functools.reduce(Counter.__or__, (Counter(jacks[sigma].offsets) for sigma in sigmas))
-        sums = [scaled_sum(inner[sigma]) for sigma in sigmas]
-        q = math.lcm(*(q for _, q in sums))
-        sums = [f * (q // f_q) * linear_product((lcm - Counter(jacks[sigma].offsets)).elements(), s)
-                for sigma, (f, f_q) in zip(sigmas, sums)]
-        lead, den = (-ensemble.pair_denominator) ** m, linear_product(lcm.elements(), s) * q
-        factors = Counter({s + x: e for x, e in lcm.items()})
-        for i, mu in enumerate(sigmas):
-            num, _ = scaled_sum((jacks[sigma].v[i], f) for sigma, f in zip(sigmas, sums) if jacks[sigma].v[i])
-            out[mu] = RatFunc.factored(lead * num, den, factors)
+        classes, (z, _), lead = list(partitions_of(m)), _jack_table(m, alpha), (-d) ** m
+        targets = [lead * scaled_sum((w * t, f) for t, f in shifted.get(nu, ()))[0] for nu, w in zip(classes, z)]
+        den, nums, factors = _jack_diagonal(m, alpha, Poly((top * q,)), targets, Counter(), (ensemble.pair_shift,))
+        out.update((mu, RatFunc.factored(f, den, factors)) for mu, f in zip(classes, nums))
     return out
 
 

@@ -31,8 +31,12 @@ foundations:
 
 * reference_jack_table and reference_binomials: the Jack polynomials by
   Gram-Schmidt in Fraction arithmetic, and the generalized binomials
-  projected with them.  The engine runs the Gram-Schmidt fraction-free and
-  sums the binomials over integers.
+  projected with them.  The engine runs the Gram-Schmidt fraction-free.
+
+* binomials, binomial_ell and binomial_kernel_weight: the generalized
+  binomials by Kaneko's recurrence, and the Laguerre kernel summed over
+  them, pair by pair of partitions sigma inside theta.  The engine takes the
+  kernel from the Baker-Forrester generating function and needs no binomial.
 
 * prs_gcd: the polynomial gcd by the primitive pseudo-remainder sequence
   over Z.  The engine's poly_gcd instead runs Euclid modulo primes and
@@ -49,7 +53,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from wickweights import DeltaExpansion, Ensemble, Partition, Slot
-from wickweights.algebra import N, Poly, RatFunc
+from wickweights.algebra import N, Poly, RatFunc, linear_product, scaled_sum
 from wickweights.combinatorics import (
     DeltaStructure,
     contract_deltas,
@@ -58,7 +62,7 @@ from wickweights.combinatorics import (
     set_partitions,
 )
 from wickweights.weights import WeightFunction
-from wickweights.wick import _mate, _structures, gaussian_trace_moment
+from wickweights.wick import _jack_table, _mate, _structures, gaussian_trace_moment
 
 
 # -- delta-expansion arithmetic ----------------------------------------------------------
@@ -527,7 +531,7 @@ def reference_jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[tup
     and j_theta = <J_theta, J_theta>.  The engine's wick._jack_table runs the same
     Gram-Schmidt fraction-free and keeps J_theta as a scale times an integer vector.
     """
-    from wickweights.wick import _fillings, _skew
+    from wickweights.wick import _fillings
 
     classes = list(partitions_of(k))
     z = tuple(alpha ** len(mu) * math.prod(x ** n * math.factorial(n) for x, n in Counter(mu).items())
@@ -542,7 +546,7 @@ def reference_jack_table(k: int, alpha: int) -> tuple[tuple[int, ...], tuple[tup
         for _, q, norm in jacks:
             f = dot(p, q) / norm
             p = tuple(a - f * b for a, b in zip(p, q))
-        offsets = tuple(_skew(theta, (), alpha))
+        offsets = tuple(skew(theta, (), alpha))
         scale = math.prod(k + 2 + x for x in offsets) / sum(a * (k + 2) ** len(mu) for a, mu in zip(p, classes))
         p = tuple(a * scale for a in p)
         jacks.append((offsets, p, dot(p, p)))
@@ -574,6 +578,107 @@ def reference_binomials(k: int, alpha: int) -> list[dict[Partition, Fraction]]:
         at_ones = math.prod(n + x for x in offsets)
         binom = {sigma: sum((a * b for a, b in zip(p, row)), Fraction(0)) / at_ones for sigma, row in rows.items()}
         out.append({sigma: b for sigma, b in binom.items() if b})
+    return out
+
+
+def skew(theta: Partition, sigma: Partition, alpha: int) -> list[int]:
+    """The offsets alpha j - i of the boxes (i, j) of theta outside sigma, counted from 0."""
+    return [alpha * j - i for i, row in enumerate(theta) for j in range(sigma[i] if i < len(sigma) else 0, row)]
+
+
+@functools.cache
+def _down(phi: Partition, r: int, alpha: int) -> Fraction:
+    """binom(phi, sigma) for sigma = phi less the last box b of row r: the product over the
+    boxes s of phi left of b of (alpha a + l + alpha) / (alpha a + l), and over those above b
+    of (alpha a + l + 1) / (alpha a + l), with a and l the arm and leg of s in phi (Kaneko,
+    SIAM J. Math. Anal. 24 (1993))."""
+    j, depth = phi[r] - 1, [sum(part > c for part in phi) for c in range(phi[r])]  # b's column, column lengths
+    hooks = [(alpha * (j - c) + depth[c] - 1 - r, alpha) for c in range(j)]
+    hooks += [(alpha * (phi[i] - 1 - j) + depth[j] - 1 - i, 1) for i in range(r)]
+    return Fraction(math.prod(h + e for h, e in hooks), math.prod(h for h, _ in hooks))
+
+
+@functools.cache
+def binomial_ell(theta: Partition, alpha: int, s: int) -> tuple[Poly, int]:
+    """ell_theta = Z_theta(N + s) L_theta(c 1) of binomial_kernel_weight, as an integer polynomial and
+    the denominator it is over."""
+    return scaled_sum(((-1) ** sum(sigma) * b, linear_product([0] * sum(sigma) + skew(theta, sigma, alpha), s))
+                      for sigma, b in binomials(theta, alpha).items())
+
+
+@functools.cache
+def binomials(theta: Partition, alpha: int) -> dict[Partition, Fraction]:
+    """The generalized binomials binom(theta, sigma) of J_theta(1 + x) / J_theta(1^n) =
+    sum_sigma binom(theta, sigma) J_sigma(x) / J_sigma(1^n), nonzero exactly for the sigma
+    inside theta (Lassalle, C. R. Acad. Sci. Paris 312 (1991)).  From binom(theta, theta) = 1
+    they follow one box at a time down from theta by Kaneko's recurrence (Dumitriu, Edelman
+    and Shuman, J. Symbolic Comput. 42 (2007)),
+
+        (|theta| - |sigma|) binom(theta, sigma) = sum_phi binom(phi, sigma) binom(theta, phi),
+
+    over the phi inside theta with one box more than sigma, each binom(phi, sigma) a _down.
+    """
+    out, level = {theta: Fraction(1)}, [theta]
+    for gap in range(1, sum(theta) + 1):
+        sums: dict[Partition, Fraction] = {}
+        for phi in level:
+            for r in range(len(phi)):
+                if r + 1 == len(phi) or phi[r] > phi[r + 1]:
+                    sigma = phi[:r] + (phi[r] - 1,) * (phi[r] > 1) + phi[r + 1:]
+                    sums[sigma] = sums.get(sigma, 0) + _down(phi, r, alpha) * out[phi]
+        level = list(sums)
+        out.update((sigma, b / gap) for sigma, b in sums.items())
+    return out
+
+
+def binomial_kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
+    """Coefficients a_mu of the weight of order kappa, w = sum_mu a_mu p_mu(W), as the
+    Laguerre reproducing kernel at W = 1 (Baker and Forrester, Commun. Math. Phys. 188
+    (1997)), which the defining conditions <w f(W)>_g = f(1), deg f <= kappa, fix:
+
+        w = sum over |theta| <= kappa of L_theta(c 1) L_theta(c W) / <L_theta^2>_g.
+
+    x = c W, with c = d / alpha, d = N + s the pair denominator and alpha as in
+    _class_solve, is Laguerre distributed (James, Ann. Math. Statist. 35 (1964)):
+    L_theta(x) = sum_sigma (-1)^|sigma| binom(theta, sigma) alpha^|sigma| J_sigma(x)
+    / (Z_sigma(N) Z_sigma(N + s)) and <L_theta^2>_g = j_theta / (Z_theta(N) Z_theta(N + s))
+    (Lassalle, 1991).  Z_sigma divides Z_theta for sigma inside theta, so ell_theta =
+    Z_theta(N + s) L_theta(c 1) = sum_sigma (-1)^|sigma| binom(theta, sigma) d^|sigma|
+    Z_theta(N + s) / Z_sigma(N + s) is a polynomial, and with m = |mu|
+
+        a_mu = (-d)^m sum_(sigma of m) J_sigma[mu] / Z_sigma(N + s) sum_(theta containing sigma)
+               binom(theta, sigma) ell_theta Z_theta(N) / (j_theta Z_sigma(N)),
+
+    summed over the lcm of the Z_sigma(N + s) and reduced once, by trial division at its linear
+    factors.  ell_theta is binomial_ell(theta), and the binom(theta, sigma) of each theta come
+    from one binomials(theta).  With J_sigma = scale_sigma v_sigma as in _jack_table, scale_sigma =
+    1 / v_sigma[1^m] joins the inner sum, and the outer sum has the integer multipliers
+    v_sigma[mu] over one denominator per m.
+    """
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    alpha, s = ensemble.alpha, ensemble.pair_shift
+    jacks = {theta: jack for k in range(kappa + 1) for theta, jack in zip(partitions_of(k), _jack_table(k, alpha)[1])}
+    scales = {theta: Fraction(1, jack.v[-1]) for theta, jack in jacks.items()}
+    inner: dict[Partition, list] = {theta: [] for theta in jacks}  # sigma -> the terms of its sum over theta
+    for theta in jacks:
+        ell, scale = binomial_ell(theta, alpha, s)
+        over = 1 / (scales[theta] ** 2 * jacks[theta].norm * scale)
+        for sigma, b in binomials(theta, alpha).items():
+            inner[sigma].append((b * scales[sigma] * over, ell * linear_product(skew(theta, sigma, alpha))))
+    out = {}
+    for m in range(kappa + 1):
+        sigmas = list(partitions_of(m))
+        lcm = functools.reduce(Counter.__or__, (Counter(jacks[sigma].offsets) for sigma in sigmas))
+        sums = [scaled_sum(inner[sigma]) for sigma in sigmas]
+        q = math.lcm(*(q for _, q in sums))
+        sums = [f * (q // f_q) * linear_product((lcm - Counter(jacks[sigma].offsets)).elements(), s)
+                for sigma, (f, f_q) in zip(sigmas, sums)]
+        lead, den = (-ensemble.pair_denominator) ** m, linear_product(lcm.elements(), s) * q
+        factors = Counter({s + x: e for x, e in lcm.items()})
+        for i, mu in enumerate(sigmas):
+            num, _ = scaled_sum((jacks[sigma].v[i], f) for sigma, f in zip(sigmas, sums) if jacks[sigma].v[i])
+            out[mu] = RatFunc.factored(lead * num, den, factors)
     return out
 
 

@@ -65,7 +65,7 @@ def test_cost_warning_per_command(capsys, monkeypatch):
         raise ValueError("not solved")
 
     monkeypatch.setattr(cli, "solve_weight", refuse)
-    for command, quiet in (("weights", 14), ("integrate", 14), ("verify", 10)):
+    for command, quiet in (("weights", 16), ("integrate", 16), ("verify", 10)):
         extra = ("--monomial", "M[1,1] Mc[1,1]") if command == "integrate" else ()
         for kappa in (quiet, quiet + 1):
             code, _, err = run(capsys, command, "--ensemble", "coe", "--kappa", str(kappa), *extra)
@@ -78,7 +78,7 @@ def test_cost_warning_per_command(capsys, monkeypatch):
         assert ("warning" in err) == (pairs > 7), pairs
     assert "degree 16 has up to 15!! index structures" in err
     # the monomial is parsed first: one that does not parse warns of nothing
-    code, _, err = run(capsys, "integrate", "--ensemble", "coe", "--kappa", "15", "--monomial", "M[1,1")
+    code, _, err = run(capsys, "integrate", "--ensemble", "coe", "--kappa", "17", "--monomial", "M[1,1")
     assert code == 2 and "error" in err and "warning" not in err
 
 

@@ -144,7 +144,7 @@ def _recompute_weight_fixture(name: str) -> list[tuple[str, int]]:
     """Solve every table of tests/data/<name> from nothing and compare with ==."""
     from wickweights import wick
 
-    assert {wick._jack_table, wick._binomials, wick._down, wick._fillings, wick._ell} <= clear_engine_memos()
+    assert {wick._jack_table, wick._fillings} <= clear_engine_memos()
     entries = json.loads((DATA / name).read_text())
     for e in entries:
         want = weight_from_json(e)

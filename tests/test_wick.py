@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,9 @@ import pytest
 from helpers import (
     FreshSummed,
     add,
+    binomial_ell,
+    binomial_kernel_weight,
+    binomials,
     clear_engine_memos,
     cumulants_from_moments,
     evaluate_expansion,
@@ -273,7 +277,9 @@ def test_jack_table_matches_fraction_reference(alpha):
         z, jacks = _jack_table(k, alpha)
         want_z, want = reference_jack_table(k, alpha)
         assert z == want_z, k
-        assert [(j.offsets, tuple(j.scale * x for x in j.v), j.scale ** 2 * j.norm) for j in jacks] == list(want), k
+        # J_theta = v / v[-1] and j_theta = <v, v> / v[-1]^2
+        got = [(j.offsets, tuple(Fraction(x, j.v[-1]) for x in j.v), Fraction(j.norm, j.v[-1] ** 2)) for j in jacks]
+        assert got == list(want), k
 
 
 def _hook_product(lam: tuple) -> int:
@@ -287,11 +293,9 @@ def test_binomials_known_values(alpha):
     # (1 + t)^|theta| = sum_sigma binom(theta, sigma) t^|sigma|, so the binomials of
     # each size s sum to C(|theta|, s); and at alpha = 1, where J_theta = H_theta s_theta
     # with H_theta the product of the hook lengths, binom(theta, theta - b) = H_theta / H_(theta - b)
-    from wickweights.wick import _binomials
-
     for k in range(11):
         for theta in partitions_of(k):
-            binom = _binomials(theta, alpha)
+            binom = binomials(theta, alpha)
             assert binom[()] == 1 and binom[theta] == 1, theta
             for s in range(k + 1):
                 assert sum(b for sigma, b in binom.items() if sum(sigma) == s) == math.comb(k, s), (theta, s)
@@ -304,24 +308,22 @@ def test_binomials_known_values(alpha):
 
 @pytest.mark.parametrize("alpha", [1, 2])
 def test_binomials_match_fraction_reference(alpha):
-    from wickweights.wick import _binomials
-
     for k in range(7):
-        assert [_binomials(theta, alpha) for theta in partitions_of(k)] == reference_binomials(k, alpha), k
+        assert [binomials(theta, alpha) for theta in partitions_of(k)] == reference_binomials(k, alpha), k
 
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
 def test_kernel_weight_same_cold_and_after_smaller_kappa(ens):
-    # _ell keeps ell_theta across kappa: kappa = 4 formed from nothing equals kappa = 4
-    # formed after kappa = 1..3 filled the memo
+    # _jack_table keeps the Jack tables across kappa: kappa = 4 formed from nothing equals
+    # kappa = 4 formed after kappa = 1..3 filled the memo
     from wickweights import wick
 
-    assert wick._ell in clear_engine_memos()
+    assert wick._jack_table in clear_engine_memos()
     cold = wick.kernel_weight(ens, 4)
     clear_engine_memos()
     for kappa in range(1, 4):
         wick.kernel_weight(ens, kappa)
-    assert wick._ell.cache_info().currsize
+    assert wick._jack_table.cache_info().currsize
     assert wick.kernel_weight(ens, 4) == cold
 
 
@@ -336,8 +338,8 @@ def test_trace_moments_by_wishart_moments_of_jack_polynomials(ens):
     for k in range(1, 9):
         z, jacks = _jack_table(k, ens.alpha)
         for i, lam in enumerate(partitions_of(k)):
-            # J_phi = scale v_phi and j_phi = scale^2 <v_phi, v_phi>
-            num, q = scaled_sum((z[i] * Fraction(jack.v[i], jack.norm) / jack.scale,
+            # J_phi = v_phi / v_phi[-1] and j_phi = <v_phi, v_phi> / v_phi[-1]^2
+            num, q = scaled_sum((z[i] * Fraction(jack.v[i] * jack.v[-1], jack.norm),
                                  linear_product(jack.offsets) * linear_product(jack.offsets, ens.pair_shift))
                                 for jack in jacks)
             assert RatFunc(num, q * ens.pair_denominator ** k) == gaussian_trace_moment(ens, [lam]), lam
@@ -350,18 +352,64 @@ _FASTER_UNITARY = {(4, 3, 2, 1): 3, **dict.fromkeys([
     (7, 2, 1), (5, 4, 1), (5, 2, 1, 1, 1), (3, 2, 2, 2, 1), (3, 2, 1, 1, 1, 1, 1)], 1)}
 
 
+def _laguerre_values(ens: Ensemble, k: int) -> dict[tuple, RatFunc]:
+    """ell_theta = Z_theta(N + s) L_theta(c 1) = <G, J_theta> for every theta of k, with J_theta from
+    _jack_table and G_lam = prod_j ((1 - j) / (j alpha))^(m_j) / m_j! d^len(lam), zero when lam has a
+    part 1 (ROADMAP F6: the Laguerre generating function of Baker and Forrester, 1997, at x = c 1)."""
+    from wickweights.algebra import scaled_sum
+    from wickweights.wick import _jack_table
+
+    z, jacks = _jack_table(k, ens.alpha)
+    g = [(i, z[i] * math.prod(Fraction(1 - j, j * ens.alpha) ** n / math.factorial(n) for j, n in Counter(lam).items()),
+          ens.pair_denominator ** len(lam)) for i, lam in enumerate(partitions_of(k)) if 1 not in lam]
+    return {theta: RatFunc(*scaled_sum((x * Fraction(jack.v[i], jack.v[-1]), f) for i, x, f in g))
+            for theta, jack in zip(partitions_of(k), jacks)}
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_laguerre_values_by_generating_function_match_binomials(ens):
+    # F6: <G, J_theta> is the sum of the generalized binomials of theta that defines ell_theta
+    for k in range(1, 11):
+        for theta, ell in _laguerre_values(ens, k).items():
+            assert ell == RatFunc(*binomial_ell(theta, ens.alpha, ens.pair_shift)), theta
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_kernel_weight_matches_binomial_kernel(ens):
+    # the generating-function kernel against the one summed over pairs sigma inside theta
+    from wickweights.wick import kernel_weight
+
+    for kappa in range(1, 9):
+        assert kernel_weight(ens, kappa) == binomial_kernel_weight(ens, kappa), kappa
+
+
 @pytest.mark.parametrize("ens", ENSEMBLES)
 def test_laguerre_value_at_one_decays_with_half_its_size(ens):
     # L_theta(c 1) = ell_theta / Z_theta(N + s) has order |theta| - deg ell_theta >= ceil(|theta|/2),
     # and L_(1)(c 1) = 0: the error of a weight of order kappa, a sum over |theta| > kappa, is
     # then O(N^-(floor(kappa/2) + 1)) whatever the degree
-    from wickweights.wick import _ell
-
-    assert not _ell((1,), ens.alpha, ens.pair_shift)[0]
+    assert not _laguerre_values(ens, 1)[(1,)]
     faster = _FASTER_UNITARY if ens is Ensemble.UNITARY else {}
-    orders = {theta: k - _ell(theta, ens.alpha, ens.pair_shift)[0].degree
-              for k in range(2, 11) for theta in partitions_of(k)}
+    orders = {theta: k - ell.num.degree for k in range(2, 11) for theta, ell in _laguerre_values(ens, k).items()}
     assert orders == {theta: (sum(theta) + 1) // 2 + faster.get(theta, 0) for theta in orders}
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
+def test_faster_decay_is_a_zero_jack_coefficient(ens):
+    # of the lam with no part 1 only top = (2^r), or (3, 2^(r-1)) when |theta| = 2r + 1, has
+    # floor(|theta|/2) parts, so deg ell_theta <= floor(|theta|/2), with equality unless J_theta's
+    # coefficient on p_top is 0 (ROADMAP F6(a, b)); at alpha = 1 that is a zero of the character
+    from wickweights.wick import _jack_table
+
+    faster = set()
+    for k in range(2, 13):
+        top = list(partitions_of(k)).index((3,) * (k % 2) + (2,) * (k // 2 - k % 2))
+        zeros = {theta for theta, jack in zip(partitions_of(k), _jack_table(k, ens.alpha)[1]) if not jack.v[top]}
+        degrees = {theta: ell.num.degree for theta, ell in _laguerre_values(ens, k).items()}
+        assert max(degrees.values()) == k // 2, k
+        assert zeros == {theta for theta, deg in degrees.items() if deg < k // 2}, k
+        faster |= zeros if k <= 10 else set()
+    assert faster == (set(_FASTER_UNITARY) if ens is Ensemble.UNITARY else set())
 
 
 @pytest.mark.parametrize("shift", [0, 1])
