@@ -31,10 +31,12 @@ factors, like a hand-made coefficient over N^2 + 1.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import gcd, lcm
 from operator import index
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PoleError(ArithmeticError):
@@ -176,6 +178,8 @@ class Poly:
 
     def eval(self, x) -> Fraction:
         """Exact value at a rational point (Horner)."""
+        from fractions import Fraction  # here, so that fractions stays off the start-up path
+
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -364,6 +368,8 @@ class RatFunc:
 
     def eval(self, n) -> Fraction:
         """Exact value at N = n; raises PoleError naming the vanishing factor."""
+        from fractions import Fraction  # here, so that fractions stays off the start-up path
+
         n = Fraction(n)
         dv = self.den.eval(n)
         if dv == 0:

@@ -19,13 +19,16 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import PoleError, RatFunc
 from .combinatorics import check_partition, partition_label, structure_label
 from .integrate import error_order, integrate_monomial
 from .weights import solve_weight, verify_conditions
 from .wick import Ensemble, MonomialSpec, gaussian_trace_moment
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: The largest kappa each command runs without a warning: above it a cold run in the slowest ensemble, the COE,
 #: passes about 10 s on two cores.  `weights` takes 1.5-2.4 s at 14, 3.0-3.6 s at 15, 5.3-6.1 s at 16 and
@@ -71,6 +74,8 @@ def _parse_invariants(text: str) -> list[tuple[int, ...]]:
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction  # here, so that fractions stays off the start-up path
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -61,10 +61,9 @@ import itertools
 import math
 import re
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import N, Poly, RatFunc, clear_denominators, linear_combination, scaled_sum
+from .algebra import N, Poly, RatFunc, clear_denominators, linear_combination, linear_product, scaled_sum
 from .combinatorics import (
     DeltaStructure,
     Partition,
@@ -421,7 +420,7 @@ def _class_solve(k: int, alpha: int, targets: Sequence[RatFunc], shifts: Sequenc
                          / (j_theta prod_s Z_theta(N + s)),
 
     the Jack-diagonal step of _jack_diagonal on the targets, cleared once,
-    times z^alpha_mu.
+    times z^alpha_mu, each coefficient reduced once over the known factors.
     """
     z, _ = _jack_table(k, alpha)
     den, nums, factors = _jack_diagonal(k, alpha, *clear_denominators(targets), shifts)
@@ -433,18 +432,25 @@ def _jack_diagonal(k: int, alpha: int, den: Poly, nums: Sequence[Poly], factors:
     """sum_theta J_theta[mu] (sum_lam J_theta[lam] nums[lam]) / (den j_theta prod_s Z_theta(N + s))
     per class mu of k, den divisible by the linear factors {r: e}, as one denominator, the numerators
     over it and its known factors.  The integer v_theta of _jack_table stands for J_theta, whose scale
-    cancels.  Each projection is reduced once over its eigenvalue's factors, and the projections are
-    cleared once for the integer sums over theta."""
+    cancels, so theta's term is v_theta[mu] proj_theta / (den norm_theta Z_theta), with the integer
+    projection proj_theta = sum_lam v_theta[lam] nums[lam].  Each proj_theta and norm_theta lose their
+    integer gcd, and the terms are summed over den, the lcm of the norms left and the largest power
+    of each eigenvalue factor N + s + (alpha j - i), which joins the known factors: no term is
+    reduced on its own, and the caller reduces each sum once."""
     _, jacks = _jack_table(k, alpha)
-    live, projs = [], []
+    live = []  # (v_theta, proj_theta / g, norm_theta / g, the roots of prod_s Z_theta(N + s))
     for jack in jacks:
         proj, _ = scaled_sum((a, t) for a, t in zip(jack.v, nums) if a and t)
         if proj:
-            live.append(jack.v)
-            more = [s + x for s in shifts for x in jack.offsets]
-            projs.append(RatFunc.factored(proj, den * jack.norm, factors, more))
-    den, nums, factors = clear_denominators(projs)
-    return den, [scaled_sum((v[mu], f) for v, f in zip(live, nums) if v[mu])[0] for mu in range(len(jacks))], factors
+            g = math.gcd(proj.content(), jack.norm)
+            live.append((jack.v, Poly([x // g for x in proj.coeffs]), jack.norm // g,
+                         Counter(s + x for s in shifts for x in jack.offsets)))
+    norms, top = math.lcm(*(norm for _, _, norm, _ in live)), Counter()
+    for *_, roots in live:
+        top |= roots
+    terms = [(v, norms // norm, proj * linear_product((top - roots).elements())) for v, proj, norm, roots in live]
+    return (den * norms * linear_product(top.elements()),
+            [scaled_sum((v[mu] * c, f) for v, c, f in terms if v[mu])[0] for mu in range(len(jacks))], factors + top)
 
 
 def _shift_down(f: dict[Partition, Poly]) -> dict[Partition, Poly]:
@@ -477,15 +483,20 @@ def kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, RatFunc]:
     The shift is e^D (_shift_down), so the degree-m part of G_(<= kappa)(1^N + y) is
     F = sum_r D^r G_(m + r) / r!, and the sum over the sigma of m is _class_solve's Jack-diagonal
     step, _jack_diagonal, on (-d)^m z^alpha_nu F_nu with the one eigenvalue factor Z_sigma(N + s).
-    The weights kappa! / r! on q G keep each F_nu an integer polynomial over kappa! q.
+    The weights kappa! / r! on q G keep each F_nu an integer polynomial over kappa! q, and each
+    a_mu is reduced once, over the eigenvalue factors that _jack_diagonal returns.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     alpha, d = ensemble.alpha, ensemble.pair_denominator
-    g = {lam: math.prod(Fraction(1 - k, k * alpha) ** n / math.factorial(n) for k, n in Counter(lam).items())
-         for m in range(kappa + 1) for lam in partitions_of(m) if 1 not in lam}
-    q, top = math.lcm(*(x.denominator for x in g.values())), math.factorial(kappa)
-    level = {lam: x.numerator * (q // x.denominator) * d ** len(lam) for lam, x in g.items()}  # q G
+    g = {}  # lam -> G_lam / d^len(lam) in lowest terms, as (numerator, denominator)
+    for lam in (lam for m in range(kappa + 1) for lam in partitions_of(m) if 1 not in lam):
+        parts = Counter(lam).items()
+        a = math.prod((1 - k) ** n for k, n in parts)
+        b = math.prod((k * alpha) ** n * math.factorial(n) for k, n in parts)
+        g[lam] = a // math.gcd(a, b), b // math.gcd(a, b)
+    q, top = math.lcm(*(b for _, b in g.values())), math.factorial(kappa)
+    level = {lam: a * (q // b) * d ** len(lam) for lam, (a, b) in g.items()}  # q G
     shifted: dict[Partition, list] = {}  # nu -> the (kappa! / r!, D^r q G) of kappa! q F_nu
     for r in range(kappa + 1):
         for nu, f in level.items():

@@ -307,9 +307,10 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_import_without_numpy():
     # start-up loads numpy only when the Monte Carlo oracle is asked for, json
-    # only when a command writes JSON, and the modular solver and gcd neither
-    # at start-up nor in a verify or an integrate --at; the solver still
-    # resolves as algebra.solve_linear_system
+    # only when a command writes JSON, fractions (and with it decimal) neither
+    # at start-up nor in a verify, and the modular solver and gcd neither at
+    # start-up nor in a verify or an integrate --at; the solver still resolves
+    # as algebra.solve_linear_system
     code = (
         "import sys, wickweights.cli\n"
         "from wickweights import algebra\n"
@@ -317,12 +318,17 @@ def test_import_without_numpy():
         "assert 'logging' not in sys.modules, 'logging imported at start-up'\n"
         "late = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
         "assert not late, f'{late} imported at start-up'\n"
+        "def no_fractions(when):\n"
+        "    held = [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+        "    assert not held, f'{held} imported {when}'\n"
         "def no_solver():\n"
         "    held = {'solve_linear_system', 'poly_gcd'} & set(vars(algebra))\n"
         "    assert not held, f'{held} in algebra'\n"
         "    assert 'wickweights.modular' not in sys.modules, 'wickweights.modular imported'\n"
+        "no_fractions('at start-up')\n"
         "no_solver()\n"
         "assert wickweights.cli.main(['verify', '--ensemble', 'coe', '--kappa', '3']) == 0\n"
+        "no_fractions('in a verify')\n"
         "assert wickweights.cli.main(['integrate', '--ensemble', 'unitary', '--kappa', '3', '--monomial',\n"
         "                             'M[1,1] Mc[1,1] M[1,1] Mc[1,1]', '--at', '9']) == 0\n"
         "no_solver()\n"

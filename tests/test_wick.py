@@ -253,12 +253,27 @@ def test_class_solve_matches_reference_matrix(orthogonal, k):
     # the closed form against solves of the enumerated class matrix: one
     # solve (Gram products), two at N (orthogonal and unitary entry moments)
     # and at N then N+1 (COE entry moments)
+    rng = random.Random(f"class-solve/{orthogonal}/{k}")
+    _check_class_solve(orthogonal, k, lambda: N ** rng.randint(0, k) * (N + 2) ** rng.randint(0, 2), rng)
+
+
+@pytest.mark.parametrize("orthogonal", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_class_solve_cancels_over_one_denominator(orthogonal, k):
+    # targets over (N - 1)^a (N + 1)^b (N^2 + 1): N - 1 and N + 1 are roots of
+    # eigenvalues Z_theta(N + s), so the one denominator the projections are
+    # summed over repeats them and the reduction must cancel them again, and
+    # N^2 + 1 is a cofactor that only poly_gcd can take
+    rng = random.Random(f"class-solve-cancel/{orthogonal}/{k}")
+    _check_class_solve(orthogonal, k, lambda: (N - 1) ** rng.randint(0, 2) * (N + 1) ** rng.randint(0, 2) * (N * N + 1),
+                       rng)
+
+
+def _check_class_solve(orthogonal: bool, k: int, denominator, rng: random.Random) -> None:
     from wickweights.wick import _class_solve
 
-    rng = random.Random(f"class-solve/{orthogonal}/{k}")
     size = len(list(partitions_of(k)))
-    targets = [RatFunc(Poly([rng.randint(-9, 9) for _ in range(k + 2)]), N ** rng.randint(0, k) * (N + 2) ** rng.randint(0, 2))
-               for _ in range(size)]
+    targets = [RatFunc(Poly([rng.randint(-9, 9) for _ in range(k + 2)]), denominator()) for _ in range(size)]
     alpha = 2 if orthogonal else 1
     once = solve_linear_system(reference_class_matrix(orthogonal, k), targets)
     assert _class_solve(k, alpha, targets, (0,)) == once
@@ -280,6 +295,20 @@ def test_jack_table_matches_fraction_reference(alpha):
         # J_theta = v / v[-1] and j_theta = <v, v> / v[-1]^2
         got = [(j.offsets, tuple(Fraction(x, j.v[-1]) for x in j.v), Fraction(j.norm, j.v[-1] ** 2)) for j in jacks]
         assert got == list(want), k
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_jack_norm_is_the_hook_product(alpha):
+    # F6's closed norm: j_theta = prod over the boxes b of theta of (alpha a + l + 1)(alpha a + l + alpha),
+    # with a and l the arm and the leg of b (Macdonald, VI.10; Stanley, Adv. Math. 77 (1989))
+    from wickweights.wick import _jack_table
+
+    for k in range(1, 11):
+        for theta, jack in zip(partitions_of(k), _jack_table(k, alpha)[1]):
+            legs = [sum(part > j for part in theta) for j in range(theta[0])]
+            hooks = [(alpha * (row - j - 1), legs[j] - i - 1) for i, row in enumerate(theta) for j in range(row)]
+            want = math.prod((a + l + 1) * (a + l + alpha) for a, l in hooks)
+            assert Fraction(jack.norm, jack.v[-1] ** 2) == want, theta
 
 
 def _hook_product(lam: tuple) -> int:
