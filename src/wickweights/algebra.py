@@ -23,9 +23,10 @@ Every ratio is reduced one way.  A ``RatFunc`` keeps the linear factors
 N + r known to divide its denominator, and sums, products and quotients
 pass them on; nearly every denominator the engine forms is a constant
 times such factors.  The numerator is divided by N + r while -r is a root
-of it, and one integer content ends the reduction; ``modular.poly_gcd``
-is reached only by a cofactor of positive degree left beside those
-factors, like a hand-made coefficient over N^2 + 1.
+of it, and one integer content ends the reduction; ``poly_gcd``, the
+primitive pseudo-remainder sequence, is reached only by a cofactor of
+positive degree left beside those factors, like a hand-made coefficient
+over N^2 + 1.
 """
 
 from __future__ import annotations
@@ -234,6 +235,33 @@ def _primitive(a: Poly) -> Poly:
     return a if c in (0, 1) else Poly(x // c for x in a.coeffs)
 
 
+def _pseudo_remainder(a: Poly, b: Poly) -> Poly:
+    """lc(b)^(deg a - deg b + 1) a mod b, for deg a >= deg b >= 0: each step drops the top
+    coefficient t of the remainder r, for lc(b) r - t N^j b."""
+    rem, low, lc = list(a.coeffs), b.coeffs[:-1], b.lc
+    while len(rem) > len(low):
+        top = rem.pop()
+        if lc != 1:
+            rem = [c * lc for c in rem]
+        if top:
+            j = len(rem) - len(low)
+            for i, c in enumerate(low):
+                rem[j + i] -= top * c
+    return Poly(rem)
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd over Q with positive leading coefficient (zero for two zeros), by the
+    primitive pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2, 4.6.1): the gcd of a and b
+    is that of b and their pseudo-remainder, up to a constant, and each divisor is primitive."""
+    if a.degree < b.degree:
+        a, b = b, a
+    while b:
+        b = _primitive(b)
+        a, b = b, _pseudo_remainder(a, b)
+    return _primitive(a)
+
+
 def _as_poly(x) -> Poly:
     return x if isinstance(x, Poly) else Poly((x,))  # index() refuses what is not an int
 
@@ -274,7 +302,6 @@ class RatFunc:
             out.num, out.den, out.factors = _ZERO, _ONE, _NO_FACTORS
             return out
         if cof.degree > 0:
-            from .modular import poly_gcd  # here, so that modular stays off the start-up path
             g = poly_gcd(num, cof)
             if g != _ONE:
                 num, cof = num.divexact(g), cof.divexact(g)
@@ -408,7 +435,6 @@ def clear_denominators(fs: Sequence[RatFunc]) -> tuple[Poly, list[Poly], Counter
     split = {f.den: (f.factors, _cofactor(f.den, f.factors)) for f in fs}
     common = _ONE
     for c in dict.fromkeys(_primitive(c) for _, c in split.values() if c.degree > 0):
-        from .modular import poly_gcd
         common = c if common == _ONE else common * c.divexact(poly_gcd(common, c))
     common = common * lcm(*(c.content() for _, c in split.values()))
     over = {den: linear_product((top - known).elements()) * common.divexact(c) for den, (known, c) in split.items()}

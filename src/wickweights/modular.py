@@ -1,10 +1,8 @@
-"""The exact solve and the polynomial gcd, by arithmetic modulo 61-bit primes.
+"""The exact solve, by arithmetic modulo 61-bit primes.
 
-``solve_linear_system`` serves the tests and perfbench/ only.  ``poly_gcd``
-is reached only by a ``RatFunc`` whose cofactor beside its known linear
-factors has positive degree, and this module is imported only then.  It runs
-Euclid modulo 61-bit primes, joins the images by the Chinese remainder
-theorem and returns a lift only once it divides both arguments exactly.
+``solve_linear_system`` serves the tests and perfbench/ only.  No command
+and no other engine module imports this one; ``algebra`` resolves
+``algebra.solve_linear_system`` from it only when that name is asked for.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .algebra import _ONE, _ZERO, Poly, RatFunc, _primitive, _trim, clear_denominators
+from .algebra import _ZERO, Poly, RatFunc, _trim, clear_denominators
 
 
 class SingularMatrixError(ArithmeticError):
@@ -122,52 +120,6 @@ def _mqrr(m: list[int], u: list[int], p: int) -> tuple[list[int], list[int]] | N
             best, top = (r1, t1), len(q) - 1
         r0, r1, t0, t1 = r1, r, t1, _sub_mul(t0, q, t1, p)
     return best
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd over Q with positive leading coefficient (zero for two
-    zeros), by Euclid modulo the solve's primes (Brown's modular gcd; von zur
-    Gathen and Gerhard, Modern Computer Algebra, ch. 6).
-
-    Let g be the true gcd and gamma = gcd(lc a, lc b), which lc g divides.
-    Modulo a prime p dividing neither leading coefficient, g keeps its
-    degree and divides a and b, so the gcd mod p has at least that degree:
-    degree 0 proves g = 1.  For all but finitely many such p it is g mod p
-    up to a unit, and gamma times its monic form is (gamma / lc g) g mod p.
-    So images of the lowest degree seen are kept (a lower degree starts
-    over, a higher one is skipped) and joined by the Chinese remainder
-    theorem, and the symmetric lift's primitive part is returned once it
-    divides a and b exactly: a common divisor of at least g's degree is g
-    up to a constant.  The lift is right once the modulus exceeds twice the
-    largest coefficient of (gamma / lc g) g, so the loop ends.
-    """
-    if not a or not b:
-        return _primitive(a or b)
-    gamma = gcd(a.lc, b.lc)
-    modulus, image = 1, None
-    for p in map(_prime, count()):
-        if a.lc % p == 0 or b.lc % p == 0:
-            continue
-        r0, r1 = [c % p for c in a.coeffs], [c % p for c in b.coeffs]
-        while r1:
-            r0, r1 = r1, _divmod_p(r0, r1, p)[1]
-        if len(r0) == 1:
-            return _ONE
-        scale = gamma * pow(r0[-1], -1, p) % p
-        r0 = [c * scale % p for c in r0]
-        if image is None or len(r0) < len(image):
-            modulus, image = p, r0
-        elif len(r0) == len(image):
-            [(image,)] = _crt([(image,)], modulus, [(r0,)], p)
-            modulus *= p
-        else:
-            continue
-        g = _primitive(Poly(c - modulus if 2 * c > modulus else c for c in image))
-        try:
-            a.divexact(g), b.divexact(g)
-        except ValueError:
-            continue
-        return g
 
 
 # -- the solve -----------------------------------------------------------------------------

@@ -38,9 +38,9 @@ foundations:
   them, pair by pair of partitions sigma inside theta.  The engine takes the
   kernel from the Baker-Forrester generating function and needs no binomial.
 
-* prs_gcd: the polynomial gcd by the primitive pseudo-remainder sequence
-  over Z.  The engine's poly_gcd instead runs Euclid modulo primes and
-  lifts by the Chinese remainder theorem.
+* euclid_gcd: the polynomial gcd by Euclid's algorithm over Q, in
+  Fractions.  The engine's poly_gcd instead runs the primitive
+  pseudo-remainder sequence over Z, with no fraction.
 """
 
 from __future__ import annotations
@@ -685,30 +685,18 @@ def binomial_kernel_weight(ensemble: Ensemble, kappa: int) -> dict[Partition, Ra
 # -- polynomial gcd ----------------------------------------------------------------------
 
 
-def _primitive_part(a: Poly) -> Poly:
-    c = a.content() * (1 if a.lc > 0 else -1)
-    return Poly(x // c for x in a.coeffs)
-
-
-def _pseudo_remainder(a: Poly, b: Poly) -> Poly:
-    """lc(b)^(deg a - deg b + 1) a mod b, for deg a >= deg b >= 0."""
-    rem, d = list(a.coeffs), b.degree
-    for k in range(a.degree, d - 1, -1):
-        top = rem[k]
-        rem = [c * b.lc for c in rem]
-        for j, bc in enumerate(b.coeffs):
-            rem[k - d + j] -= top * bc
-    return Poly(rem[:d])
-
-
-def prs_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient (zero for two zeros),
-    by the primitive pseudo-remainder sequence over Z."""
-    if a.degree < b.degree:
-        a, b = b, a
-    if not a:
-        return a
-    while b:
-        b = _primitive_part(b)
-        a, b = b, _pseudo_remainder(a, b)
-    return _primitive_part(a)
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd with positive leading coefficient (zero for two zeros), by
+    Euclid's algorithm over Q, scaled to an integer polynomial at the end."""
+    x, y = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
+    while y:
+        while len(x) >= len(y):  # x mod y, one top coefficient at a time
+            q, shift = x[-1] / y[-1], len(x) - len(y)
+            x = [c - q * y[i - shift] if i >= shift else c for i, c in enumerate(x[:-1])]
+            while x and not x[-1]:
+                x.pop()
+        x, y = y, x
+    scale = math.lcm(*(c.denominator for c in x))
+    ints = [int(c * scale) for c in x]
+    sign = 1 if not ints or ints[-1] > 0 else -1
+    return Poly(c // (sign * math.gcd(*ints)) for c in ints)

@@ -7,11 +7,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import prs_gcd, ratfunc_from_json, weight_from_json
+from helpers import euclid_gcd, ratfunc_from_json, weight_from_json
 
-from wickweights import modular
-from wickweights.algebra import N, PoleError, Poly, RatFunc, clear_denominators, linear_product
-from wickweights.modular import SingularMatrixError, poly_gcd, solve_linear_system
+from wickweights import algebra, modular
+from wickweights.algebra import N, PoleError, Poly, RatFunc, clear_denominators, linear_product, poly_gcd
+from wickweights.modular import SingularMatrixError, solve_linear_system
 
 ONE = Poly((1,))
 
@@ -66,21 +66,18 @@ def test_poly_gcd():
     assert poly_gcd(-(N + 1), (N + 1) ** 2) == N + 1
 
 
-_P = 2**61 - 1  # the first prime of the solve and of the gcd
+_P = 2**61 - 1  # the first prime of the solve
 
 
-def test_poly_gcd_large_coefficients_join_primes(monkeypatch):
-    # coefficients beyond 2^61 lift only from two or more primes joined by the CRT
-    joins = []
-    crt = modular._crt
-    monkeypatch.setattr(modular, "_crt", lambda *args: joins.append(1) or crt(*args))
+def test_poly_gcd_large_coefficients_join_primes():
+    # a common factor with a coefficient beyond 2^70
     big = (2**70 + 1) * N + 3
-    assert poly_gcd(big * (N + 1), big * (N - 2)) == big
-    assert joins
+    a, b = big * (N + 1), big * (N - 2)
+    assert poly_gcd(a, b) == big == euclid_gcd(a, b)
 
 
 def test_poly_gcd_unlucky_first_prime():
-    # N and N + P agree mod P, so the first image has degree 2, one too many
+    # N and N + P agree modulo the 61-bit prime P, but over Z they share no factor
     assert poly_gcd(N * (N + 1), (N + _P) * (N + 1)) == N + 1
 
 
@@ -103,22 +100,27 @@ def test_poly_gcd_leading_coefficient_divisible_by_the_first_prime():
     (-(N * N), -2 * N, N),
 ])
 def test_poly_gcd_zero_constant_and_negative_arguments(a, b, want):
-    assert poly_gcd(a, b) == want == prs_gcd(a, b)
+    assert poly_gcd(a, b) == want == euclid_gcd(a, b)
 
 
-def test_poly_gcd_matches_prs_oracle_random():
-    # planted common factors with coefficients up to 2^80, products of degree up to 8
+def test_poly_gcd_matches_euclid_oracle_random():
+    # planted common factors with coefficients up to 2^80, products of degree up to 8, in
+    # both argument orders and with some arguments zero; a third of the factors are monic,
+    # so that some divisors have leading coefficient 1, which the pseudo-remainder skips
     rng = random.Random(20261019)
 
     def rand_poly(degree):
         bits = rng.choice((2, 20, 80))
-        return Poly([rng.randint(-2**bits, 2**bits) for _ in range(degree + 1)])
+        coeffs = [rng.randint(-2**bits, 2**bits) for _ in range(degree)] + [rng.randint(1, 2**bits)]
+        return Poly(coeffs[:-1] + [1] if rng.random() < 1 / 3 else coeffs)
 
-    for _ in range(150):
+    for trial in range(200):
         common = rand_poly(rng.randint(0, 4))
-        a = common * rand_poly(rng.randint(0, 4))
-        b = common * rand_poly(rng.randint(0, 4))
-        assert poly_gcd(a, b) == prs_gcd(a, b)
+        a = common * rand_poly(rng.randint(0, 4)) * rng.choice((1, -1))
+        b = common * rand_poly(rng.randint(0, 4)) if trial % 10 else Poly()
+        want = euclid_gcd(a, b)
+        assert poly_gcd(a, b) == want == poly_gcd(b, a), (a, b)
+        a.divexact(want), b.divexact(want)  # each raises unless want divides
 
 
 def test_normalize_factor_cancellation():
@@ -286,8 +288,8 @@ def test_arithmetic_matches_general_random(monkeypatch):
     # N^2 + 1, are the reduction from scratch of the same pair; a sum, difference or
     # product of two split ratios reaches no gcd and keeps its known factors
     calls = []
-    gcd = modular.poly_gcd
-    monkeypatch.setattr(modular, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    gcd = algebra.poly_gcd
+    monkeypatch.setattr(algebra, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     rng = random.Random(29)
     for trial in range(300):
         f, g = (_rand_split(rng, N * N + 1 if trial % 4 == i else ONE) for i in (1, 2))
@@ -324,7 +326,7 @@ def _is_lcm(common, dens):
     share no polynomial factor and no integer content."""
     quotients = [common.divexact(d) for d in dens]
     return (common.lc > 0 and math.gcd(*(c for q in quotients for c in q.coeffs)) == 1
-            and functools.reduce(prs_gcd, quotients) == ONE)
+            and functools.reduce(euclid_gcd, quotients) == ONE)
 
 
 def test_clear_denominators_over_known_factors():

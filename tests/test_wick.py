@@ -413,6 +413,50 @@ def test_kernel_weight_matches_binomial_kernel(ens):
 
 
 @pytest.mark.parametrize("ens", ENSEMBLES)
+def test_kernel_targets_by_shift_and_laguerre_form(ens):
+    # F6(d): the kernel's targets T_lam = <w p_lam(W)>_g are Lambda((D p_lam)(1^N + y)), with
+    # D J_phi = Z_phi(N + s) d^-|phi| J_phi, p_k(1^N + y) = sum_j C(k, j) p_j(y) with p_0 = N, and
+    # Lambda(J_theta(y)) = (-1)^|theta| ell_theta Z_theta(N) / Z_theta(N + s) for |theta| <= kappa,
+    # 0 above: no trace moment and no binomial, in Fractions at N = 31, for kappa <= 3, |lam| <= kappa + 2
+    from wickweights.wick import _class_targets, _jack_table, kernel_weight
+
+    n, s = 31, ens.pair_shift
+
+    def eigen(jack, m):  # Z_theta(m)
+        return math.prod(m + x for x in jack.offsets)
+
+    def shifted(mu):  # p_mu(1^N + y) as {nu: coefficient of p_nu(y)}
+        out = {(): Fraction(1)}
+        for k in mu:
+            step = Counter()
+            for nu, c in out.items():
+                for j in range(k + 1):
+                    step[tuple(sorted(nu + (j,) * (j > 0), reverse=True))] += c * math.comb(k, j) * (n if j == 0 else 1)
+            out = step
+        return out
+
+    form = {(): Fraction(1)}  # Lambda(p_nu(y)), by p_nu = sum_theta z^alpha_nu J_theta[nu] / j_theta J_theta
+    for m in range(1, 4):
+        z, jacks = _jack_table(m, ens.alpha)
+        ell = _laguerre_values(ens, m)
+        for i, nu in enumerate(partitions_of(m)):
+            form[nu] = sum(Fraction(z[i] * jack.v[i] * jack.v[-1] * eigen(jack, n), jack.norm * eigen(jack, n + s))
+                           * (-1) ** m * ell[theta].eval(n) for theta, jack in zip(partitions_of(m), jacks))
+    for kappa in range(1, 4):
+        w = kernel_weight(ens, kappa)
+        for k in range(1, kappa + 3):
+            classes = list(partitions_of(k))
+            z, jacks = _jack_table(k, ens.alpha)
+            for i, (lam, want) in enumerate(zip(classes, _class_targets(ens, w, classes))):
+                # D p_lam = sum_phi z^alpha_lam J_phi[lam] / j_phi Z_phi(N + s) d^-k J_phi, in power sums
+                dp = [Fraction(z[i] * sum(Fraction(jack.v[i] * jack.v[j] * eigen(jack, n + s), jack.norm) for jack in jacks),
+                               (n + s) ** k) for j in range(len(classes))]
+                got = sum(c * e * form[nu] for c, mu in zip(dp, classes) for nu, e in shifted(mu).items()
+                          if sum(nu) <= kappa)
+                assert got == want.eval(n), (kappa, lam)
+
+
+@pytest.mark.parametrize("ens", ENSEMBLES)
 def test_laguerre_value_at_one_decays_with_half_its_size(ens):
     # L_theta(c 1) = ell_theta / Z_theta(N + s) has order |theta| - deg ell_theta >= ceil(|theta|/2),
     # and L_(1)(c 1) = 0: the error of a weight of order kappa, a sum over |theta| > kappa, is
